@@ -47,7 +47,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -309,13 +308,12 @@ func clusterSuite(seed int64, quick bool) (bench.ClusterSuite, error) {
 	for _, j := range res.Jobs {
 		lats = append(lats, j.CompletedAt())
 	}
-	sort.Float64s(lats)
 	mean := 0.0
 	for _, l := range lats {
 		mean += l
 	}
 	mean /= float64(len(lats))
-	p95 := lats[min(len(lats)-1, int(0.95*float64(len(lats))))]
+	p95 := stats.Quantile(lats, 0.95)
 
 	return bench.ClusterSuite{
 		Nodes:           cfg.Nodes,
@@ -492,13 +490,12 @@ func replay(base string, client *http.Client, stream []serveReq, concurrency int
 		lats = append(lats, o.latency)
 	}
 	phase.Digest = "sha256:" + hex.EncodeToString(dig.Sum(nil))
-	sort.Float64s(lats)
 	mean := 0.0
 	for _, l := range lats {
 		mean += l
 	}
 	phase.MeanLatencyS = mean / float64(len(lats))
-	phase.P95LatencyS = lats[min(len(lats)-1, int(0.95*float64(len(lats))))]
+	phase.P95LatencyS = stats.Quantile(lats, 0.95)
 	if wall > 0 {
 		phase.ReqPerSec = float64(len(stream)) / wall
 	}

@@ -107,7 +107,7 @@ func realMain() (err error) {
 		corpusDays := *days
 		if *load != "" && len(c) > 0 {
 			// Report the loaded corpus's actual length, not the -days flag.
-			corpusDays = int(float64(len(c[0].Samples)) * c[0].Interval / 86400)
+			corpusDays = int(c[0].Duration() / 86400)
 		}
 		fmt.Printf("corpus: %d machines x %d days (%d samples)\n", cs.Machines, corpusDays, cs.Samples)
 		fmt.Printf("  non-idle fraction        %.3f   (paper §3.2: 0.46)\n", cs.NonIdleFraction)

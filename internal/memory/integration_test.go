@@ -29,11 +29,8 @@ func TestPoolDrivenByTrace(t *testing.T) {
 
 	reclaimEvents := 0
 	hostable := 0
-	for i, s := range tr.Samples {
-		if i%30 != 0 { // sample once a minute; the WS drifts slowly
-			continue
-		}
-		localMB := tr.TotalMB - s.FreeMB
+	for i := 0; i < tr.Len(); i += 30 { // once a minute; the WS drifts slowly
+		localMB := tr.TotalMB() - tr.Sample(i).FreeMB
 		before := pool.ForeignReclaims()
 		pool.SetLocalUsage(pool.PagesForMB(localMB))
 		if pool.ForeignReclaims() > before {
@@ -69,11 +66,8 @@ func TestAdmissionMatchesFig4(t *testing.T) {
 	}
 	pool := memory.NewPool(cfg.TotalMB, 4)
 	admitted, total := 0, 0
-	for i, s := range tr.Samples {
-		if i%30 != 0 {
-			continue
-		}
-		pool.SetLocalUsage(pool.PagesForMB(tr.TotalMB - s.FreeMB))
+	for i := 0; i < tr.Len(); i += 30 {
+		pool.SetLocalUsage(pool.PagesForMB(tr.TotalMB() - tr.Sample(i).FreeMB))
 		total++
 		if pool.CanHost(8) {
 			admitted++

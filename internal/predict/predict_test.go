@@ -173,7 +173,7 @@ func TestTwoXRuleHoldsOnSyntheticEpisodes(t *testing.T) {
 	}
 	var lengths []float64
 	for _, tr := range corpus {
-		for _, ep := range trace.Episodes(tr.IdleMask(), tr.Interval) {
+		for _, ep := range trace.Episodes(tr.IdleMask(), tr.Interval()) {
 			if !ep.Idle {
 				lengths = append(lengths, ep.Duration())
 			}

@@ -14,14 +14,24 @@ import "math/rand"
 // usable; construct one with NewRNG. RNG is not safe for concurrent use;
 // simulators that run nodes in parallel give each node its own RNG derived
 // with Split.
+//
+// Its stream is exactly that of rand.New(rand.NewSource(seed)). The uniform
+// draws (Float64, Bool, Int63 and Split) call a concrete copy of math/rand's
+// source directly, skipping the rand.Source interface; the remaining
+// methods go through a rand.Rand over that same source, so both paths
+// advance one shared state.
 type RNG struct {
-	r *rand.Rand
+	src rngSource
+	r   *rand.Rand // wraps &src
 }
 
 // NewRNG returns a generator seeded with seed. Equal seeds yield identical
 // streams.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	g := &RNG{}
+	g.src.Seed(seed)
+	g.r = rand.New(&g.src)
+	return g
 }
 
 // Split derives an independent generator from r. The derived stream is a
@@ -29,18 +39,25 @@ func NewRNG(seed int64) *RNG {
 // calls after NewRNG is reproducible.
 func (r *RNG) Split() *RNG {
 	// Mix two draws so neighbouring splits do not share low bits.
-	seed := r.r.Int63() ^ (r.r.Int63() << 1)
+	seed := r.src.Int63() ^ (r.src.Int63() << 1)
 	return NewRNG(seed)
 }
 
-// Float64 returns a uniform variate in [0, 1).
-func (r *RNG) Float64() float64 { return r.r.Float64() }
+// Float64 returns a uniform variate in [0, 1). It is math/rand's Float64,
+// including the retry that keeps a rounded-up 1.0 out of the stream.
+func (r *RNG) Float64() float64 {
+	for {
+		if f := float64(r.src.Int63()) / (1 << 63); f != 1 {
+			return f
+		}
+	}
+}
 
 // Intn returns a uniform variate in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int { return r.r.Intn(n) }
 
 // Int63 returns a non-negative uniform 63-bit integer.
-func (r *RNG) Int63() int64 { return r.r.Int63() }
+func (r *RNG) Int63() int64 { return r.src.Int63() }
 
 // ExpFloat64 returns an exponential variate with mean 1.
 func (r *RNG) ExpFloat64() float64 { return r.r.ExpFloat64() }
@@ -52,4 +69,4 @@ func (r *RNG) NormFloat64() float64 { return r.r.NormFloat64() }
 func (r *RNG) Perm(n int) []int { return r.r.Perm(n) }
 
 // Bool returns true with probability p.
-func (r *RNG) Bool(p float64) bool { return r.r.Float64() < p }
+func (r *RNG) Bool(p float64) bool { return r.Float64() < p }

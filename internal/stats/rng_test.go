@@ -1,0 +1,68 @@
+package stats
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// refSplit is Split written against the math/rand reference generator.
+func refSplit(r *rand.Rand) *rand.Rand {
+	seed := r.Int63() ^ (r.Int63() << 1)
+	return rand.New(rand.NewSource(seed))
+}
+
+// TestRNGMatchesMathRand is the stream-identity check for the concrete
+// source: RNG must reproduce rand.New(rand.NewSource(seed)) value for value
+// across every method, interleaved so the fast path (Float64, Bool, Int63,
+// Split) and the rand.Rand path (Intn, ExpFloat64, NormFloat64, Perm)
+// advance one shared state, and through chains of Splits.
+func TestRNGMatchesMathRand(t *testing.T) {
+	seeds := []int64{0, 1, -1, -5, 1<<31 - 1, 2 * (1<<31 - 1), 89482311, 1 << 40}
+	const rounds = 1 << 14 // 12 values a round: ~1.6e6 values over all seeds
+	for _, seed := range seeds {
+		got, want := NewRNG(seed), rand.New(rand.NewSource(seed))
+		for i := 0; i < rounds; i++ {
+			if g, w := got.Float64(), want.Float64(); g != w {
+				t.Fatalf("seed %d round %d: Float64 = %v, want %v", seed, i, g, w)
+			}
+			if g, w := got.Bool(0.3), want.Float64() < 0.3; g != w {
+				t.Fatalf("seed %d round %d: Bool = %v, want %v", seed, i, g, w)
+			}
+			if g, w := got.Int63(), want.Int63(); g != w {
+				t.Fatalf("seed %d round %d: Int63 = %d, want %d", seed, i, g, w)
+			}
+			for _, n := range []int{1 << 10, 97, 1<<33 + 7} {
+				if g, w := got.Intn(n), want.Intn(n); g != w {
+					t.Fatalf("seed %d round %d: Intn(%d) = %d, want %d", seed, i, n, g, w)
+				}
+			}
+			if g, w := got.ExpFloat64(), want.ExpFloat64(); g != w {
+				t.Fatalf("seed %d round %d: ExpFloat64 = %v, want %v", seed, i, g, w)
+			}
+			if g, w := got.NormFloat64(), want.NormFloat64(); g != w {
+				t.Fatalf("seed %d round %d: NormFloat64 = %v, want %v", seed, i, g, w)
+			}
+			if i%64 == 0 {
+				if g, w := got.Perm(50), want.Perm(50); !slices.Equal(g, w) {
+					t.Fatalf("seed %d round %d: Perm(50) = %v, want %v", seed, i, g, w)
+				}
+			}
+			if i%1024 == 1023 {
+				got, want = got.Split(), refSplit(want)
+			}
+		}
+	}
+}
+
+var sinkFloat64 float64
+
+func BenchmarkRNGFloat64(b *testing.B) {
+	rng := NewRNG(1)
+	b.ResetTimer()
+	var sum float64
+	for i := 0; i < b.N; i++ {
+		sum += rng.Float64()
+	}
+	sinkFloat64 = sum
+}

@@ -24,13 +24,13 @@ func TestReadGoodTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Interval != 2 || tr.TotalMB != 64 || len(tr.Samples) != 2 {
+	if tr.Interval() != 2 || tr.TotalMB() != 64 || tr.Len() != 2 {
 		t.Fatalf("parsed %+v", tr)
 	}
-	if tr.Samples[1].CPU != 0.90 || tr.Samples[1].FreeMB != 10.25 || !tr.Samples[1].Keyboard {
-		t.Errorf("sample 1 = %+v", tr.Samples[1])
+	if s := tr.Sample(1); s.CPU != 0.90 || s.FreeMB != 10.25 || !s.Keyboard {
+		t.Errorf("sample 1 = %+v", s)
 	}
-	if tr.Samples[0].Keyboard {
+	if tr.Sample(0).Keyboard {
 		t.Error("sample 0 keyboard should be false")
 	}
 }
@@ -131,20 +131,20 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trace %d: %v", i, err)
 		}
-		if back.Interval != tr.Interval || back.TotalMB != tr.TotalMB || len(back.Samples) != len(tr.Samples) {
+		if back.Interval() != tr.Interval() || back.TotalMB() != tr.TotalMB() || back.Len() != tr.Len() {
 			t.Fatalf("trace %d: shape changed: %g/%g/%d vs %g/%g/%d", i,
-				back.Interval, back.TotalMB, len(back.Samples), tr.Interval, tr.TotalMB, len(tr.Samples))
+				back.Interval(), back.TotalMB(), back.Len(), tr.Interval(), tr.TotalMB(), tr.Len())
 		}
-		for j := range tr.Samples {
-			if back.Samples[j] != tr.Samples[j] {
-				t.Fatalf("trace %d sample %d: %+v != %+v", i, j, back.Samples[j], tr.Samples[j])
+		for j := 0; j < tr.Len(); j++ {
+			if back.Sample(j) != tr.Sample(j) {
+				t.Fatalf("trace %d sample %d: %+v != %+v", i, j, back.Sample(j), tr.Sample(j))
 			}
 		}
 	}
 }
 
 func TestWriteRejectsInvalidTrace(t *testing.T) {
-	bad := &Trace{Interval: 2, TotalMB: 64, Samples: []Sample{{CPU: 3}}}
+	bad := NewTrace(2, 64, []Sample{{CPU: 3}})
 	var buf bytes.Buffer
 	if err := Write(&buf, bad); err == nil {
 		t.Error("Write accepted an invalid trace")
@@ -164,7 +164,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Samples) != len(tr.Samples) || back.Samples[1] != tr.Samples[1] {
+	if back.Len() != tr.Len() || back.Sample(1) != tr.Sample(1) {
 		t.Errorf("round trip changed the trace: %+v", back)
 	}
 }

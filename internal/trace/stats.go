@@ -33,20 +33,20 @@ func Analyze(traces []*Trace) CorpusStats {
 	var idleEp, nonIdleEp stats.Welford
 	for _, tr := range traces {
 		mask := tr.IdleMask()
-		for i, s := range tr.Samples {
+		for i, cpu := range tr.cpu {
 			total++
-			cpuSum += s.CPU
+			cpuSum += cpu
 			if mask[i] {
-				cpuIdleSum += s.CPU
+				cpuIdleSum += cpu
 			} else {
 				nonIdle++
-				cpuNonIdleSum += s.CPU
-				if s.CPU < RecruitmentCPU {
+				cpuNonIdleSum += cpu
+				if cpu < RecruitmentCPU {
 					below10++
 				}
 			}
 		}
-		for _, ep := range Episodes(mask, tr.Interval) {
+		for _, ep := range Episodes(mask, tr.interval) {
 			if ep.Idle {
 				idleEp.Add(ep.Duration())
 			} else {
@@ -79,12 +79,12 @@ func Fig4(traces []*Trace) (all, idle, nonIdle *stats.ECDF) {
 	all, idle, nonIdle = &stats.ECDF{}, &stats.ECDF{}, &stats.ECDF{}
 	for _, tr := range traces {
 		mask := tr.IdleMask()
-		for i, s := range tr.Samples {
-			all.Add(s.FreeMB)
+		for i, free := range tr.free {
+			all.Add(free)
 			if mask[i] {
-				idle.Add(s.FreeMB)
+				idle.Add(free)
 			} else {
-				nonIdle.Add(s.FreeMB)
+				nonIdle.Add(free)
 			}
 		}
 	}

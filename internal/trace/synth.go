@@ -3,6 +3,9 @@ package trace
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"lingerlonger/internal/stats"
 )
@@ -132,8 +135,16 @@ func Generate(cfg Config, rng *stats.RNG) (*Trace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	return generate(&cfg, rng), nil
+}
+
+// generate is Generate on a validated configuration.
+func generate(cfg *Config, rng *stats.RNG) *Trace {
 	n := int(float64(cfg.Days) * 24 * 3600 / SampleInterval)
-	tr := &Trace{Interval: SampleInterval, TotalMB: cfg.TotalMB, Samples: make([]Sample, n)}
+	tr := makeTrace(SampleInterval, cfg.TotalMB, n)
+	// Local columns of length n let the compiler drop the loop's bounds
+	// checks.
+	cpuCol, freeCol, kbCol := tr.cpu[:n], tr.free[:n], tr.kb[:n]
 
 	// Presence chain: leave probability fixed by mean session length;
 	// arrival probability solves the target stationary occupancy.
@@ -144,7 +155,7 @@ func Generate(cfg Config, rng *stats.RNG) (*Trace, error) {
 	if present {
 		state = stTyping
 	}
-	stateLeft := sampleEpisode(rng, &cfg, state) // seconds remaining in state
+	stateLeft := sampleEpisode(rng, cfg, state) // seconds remaining in state
 	cronLeft := 0.0
 	baseWS := uniform(rng, cfg.BaseWSPresent)
 	computeWS := 0.0
@@ -179,7 +190,7 @@ func Generate(cfg Config, rng *stats.RNG) (*Trace, error) {
 			if rng.Float64() < pArrive {
 				present = true
 				state = stTyping
-				stateLeft = sampleEpisode(rng, &cfg, state)
+				stateLeft = sampleEpisode(rng, cfg, state)
 			}
 		}
 
@@ -187,8 +198,8 @@ func Generate(cfg Config, rng *stats.RNG) (*Trace, error) {
 		if present {
 			stateLeft -= SampleInterval
 			if stateLeft <= 0 {
-				state = nextEpisode(rng, &cfg, state)
-				stateLeft = sampleEpisode(rng, &cfg, state)
+				state = nextEpisode(rng, cfg, state)
+				stateLeft = sampleEpisode(rng, cfg, state)
 			}
 		}
 
@@ -240,26 +251,45 @@ func Generate(cfg Config, rng *stats.RNG) (*Trace, error) {
 		free := cfg.TotalMB - cfg.OSMB - baseWS - computeWS
 		free = clamp(free, 1, cfg.TotalMB)
 
-		tr.Samples[i] = Sample{CPU: clamp(cpu, 0, 1), FreeMB: free, Keyboard: kb}
+		cpuCol[i] = clamp(cpu, 0, 1)
+		freeCol[i] = free
+		kbCol[i] = kb
 	}
-	return tr, nil
+	return tr
 }
 
 // GenerateCorpus synthesizes machines independent traces. Each trace gets
 // an independent RNG split from rng, so the corpus is reproducible from a
 // single seed.
+//
+// The splits are drawn serially, in machine order, before any trace is
+// filled; each trace is then a pure function of its own split, so filling
+// them on min(machines, GOMAXPROCS) goroutines yields the same corpus as
+// calling Generate on each split in turn.
 func GenerateCorpus(cfg Config, machines int, rng *stats.RNG) ([]*Trace, error) {
 	if machines <= 0 {
 		return nil, fmt.Errorf("trace: machine count must be positive, got %d", machines)
 	}
-	out := make([]*Trace, machines)
-	for i := range out {
-		tr, err := Generate(cfg, rng.Split())
-		if err != nil {
-			return nil, err
-		}
-		out[i] = tr
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
+	rngs := make([]*stats.RNG, machines)
+	for i := range rngs {
+		rngs[i] = rng.Split()
+	}
+	out := make([]*Trace, machines)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(machines, runtime.GOMAXPROCS(0)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < machines; i = int(next.Add(1) - 1) {
+				out[i] = generate(&cfg, rngs[i])
+			}
+		}()
+	}
+	wg.Wait()
 	return out, nil
 }
 

@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"runtime"
 	"testing"
 
 	"lingerlonger/internal/stats"
@@ -60,8 +63,8 @@ func TestGenerateDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a.Samples {
-		if a.Samples[i] != b.Samples[i] {
+	for i := 0; i < a.Len(); i++ {
+		if a.Sample(i) != b.Sample(i) {
 			t.Fatalf("sample %d differs between equal-seed runs", i)
 		}
 	}
@@ -186,6 +189,55 @@ func TestPresetsValidate(t *testing.T) {
 	for _, cfg := range []Config{OfficeConfig(), StudentLabConfig(), ServerRoomConfig()} {
 		if err := cfg.Validate(); err != nil {
 			t.Error(err)
+		}
+	}
+}
+
+// corpusDigest is the SHA-256 of the Write output of every trace in order.
+func corpusDigest(t *testing.T, corpus []*Trace) string {
+	t.Helper()
+	h := sha256.New()
+	for _, tr := range corpus {
+		if err := Write(h, tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestCorpusGoldenDigest pins the bytes of a small corpus. The digest was
+// computed with the original implementation (math/rand through its Source
+// interface, row-layout samples, serial fill), so it holds the concrete
+// source, the column layout and the parallel fill to the same output.
+func TestCorpusGoldenDigest(t *testing.T) {
+	const want = "8e4ef0bcde8ef7f6909c2ab8ba34cb4d234cc421672883de8e5bdf5b51b5458c"
+	if got := corpusDigest(t, testCorpus(t, 4, 2, 20260417)); got != want {
+		t.Errorf("4-machine x 2-day corpus digest = %s, want %s", got, want)
+	}
+}
+
+// TestGenerateCorpusMatchesSerial checks the split-then-fill argument: the
+// parallel corpus equals Generate run in turn on the same sequence of
+// splits, whatever the number of goroutines filling it.
+func TestGenerateCorpusMatchesSerial(t *testing.T) {
+	cfg := DefaultConfig()
+	const machines, seed = 5, 3
+	root := stats.NewRNG(seed)
+	serial := make([]*Trace, machines)
+	for i := range serial {
+		tr, err := Generate(cfg, root.Split())
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial[i] = tr
+	}
+	want := corpusDigest(t, serial)
+	for _, procs := range []int{1, 2, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		got := corpusDigest(t, testCorpus(t, machines, 1, seed))
+		runtime.GOMAXPROCS(prev)
+		if got != want {
+			t.Errorf("GOMAXPROCS=%d: corpus digest %s, serial Generate %s", procs, got, want)
 		}
 	}
 }

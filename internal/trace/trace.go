@@ -37,15 +37,16 @@ type Sample struct {
 	Keyboard bool    // keyboard or mouse activity during the interval
 }
 
-// Trace is a sequence of samples from one workstation.
-//
-// Samples must not be mutated after the first NewView on the trace: views
-// share one lazily computed idle mask (a pure function of the samples),
-// and a later mutation would leave it stale.
+// Trace is a sequence of samples from one workstation. It is immutable:
+// NewTrace copies the samples into the trace, which stores them as one
+// column per field, so the hot readers (UtilizationAt, IdleMask) touch
+// only the columns they need.
 type Trace struct {
-	Interval float64 // seconds between samples (SampleInterval)
-	TotalMB  float64 // physical memory size of the machine
-	Samples  []Sample
+	interval float64 // seconds between samples (SampleInterval)
+	totalMB  float64 // physical memory size of the machine
+	cpu      []float64
+	free     []float64
+	kb       []bool
 
 	// Idle-mask memo. Computing the recruitment mask is O(samples); before
 	// it was cached here, NewView recomputed it per node and the 64-node
@@ -56,19 +57,57 @@ type Trace struct {
 	maskMemo []bool
 }
 
+// NewTrace returns a trace of samples taken every interval seconds on a
+// machine with totalMB megabytes of memory. The samples are copied, so
+// later changes to the slice do not reach the trace. NewTrace does not
+// check the values; Validate does.
+func NewTrace(interval, totalMB float64, samples []Sample) *Trace {
+	t := makeTrace(interval, totalMB, len(samples))
+	for i, s := range samples {
+		t.cpu[i], t.free[i], t.kb[i] = s.CPU, s.FreeMB, s.Keyboard
+	}
+	return t
+}
+
+// makeTrace allocates a trace with n zero samples, for constructors in
+// this package that fill the columns in place.
+func makeTrace(interval, totalMB float64, n int) *Trace {
+	return &Trace{
+		interval: interval,
+		totalMB:  totalMB,
+		cpu:      make([]float64, n),
+		free:     make([]float64, n),
+		kb:       make([]bool, n),
+	}
+}
+
+// Interval returns the seconds between samples.
+func (t *Trace) Interval() float64 { return t.interval }
+
+// TotalMB returns the physical memory size of the machine in megabytes.
+func (t *Trace) TotalMB() float64 { return t.totalMB }
+
+// Len returns the number of samples.
+func (t *Trace) Len() int { return len(t.cpu) }
+
+// Sample returns sample i. It panics if i is out of range.
+func (t *Trace) Sample(i int) Sample {
+	return Sample{CPU: t.cpu[i], FreeMB: t.free[i], Keyboard: t.kb[i]}
+}
+
 // Duration returns the trace length in seconds.
-func (t *Trace) Duration() float64 { return float64(len(t.Samples)) * t.Interval }
+func (t *Trace) Duration() float64 { return float64(t.Len()) * t.interval }
 
 // index maps time (seconds) to a sample index, wrapping around so a trace
 // can be read at an arbitrary offset for longer than its duration — the
 // paper starts each simulated node "at a randomly selected offset into a
 // different machine trace".
 func (t *Trace) index(at float64) int {
-	n := len(t.Samples)
+	n := t.Len()
 	if n == 0 {
 		return -1
 	}
-	i := int(math.Floor(at/t.Interval)) % n
+	i := int(math.Floor(at/t.interval)) % n
 	if i < 0 {
 		i += n
 	}
@@ -82,12 +121,18 @@ func (t *Trace) At(at float64) Sample {
 	if i < 0 {
 		panic("trace: At on empty trace")
 	}
-	return t.Samples[i]
+	return t.Sample(i)
 }
 
 // UtilizationAt returns the CPU utilization at time at. Trace implements
 // workload.UtilizationSource.
-func (t *Trace) UtilizationAt(at float64) float64 { return t.At(at).CPU }
+func (t *Trace) UtilizationAt(at float64) float64 {
+	i := t.index(at)
+	if i < 0 {
+		panic("trace: UtilizationAt on empty trace")
+	}
+	return t.cpu[i]
+}
 
 // IdleMask computes the recruitment-threshold idle flag for every sample:
 // sample i is idle when the CPU stayed below RecruitmentCPU and the
@@ -95,11 +140,12 @@ func (t *Trace) UtilizationAt(at float64) float64 { return t.At(at).CPU }
 // trace is treated as starting after a long quiet period, so a quiet
 // prefix counts as idle.
 func (t *Trace) IdleMask() []bool {
-	mask := make([]bool, len(t.Samples))
+	cpu, kb := t.cpu, t.kb[:len(t.cpu)]
+	mask := make([]bool, len(cpu))
 	lastActive := -RecruitmentDelay // pretend quiet before the trace
-	for i, s := range t.Samples {
-		now := float64(i) * t.Interval
-		if s.Keyboard || s.CPU >= RecruitmentCPU {
+	for i, c := range cpu {
+		now := float64(i) * t.interval
+		if kb[i] || c >= RecruitmentCPU {
 			lastActive = now
 		}
 		mask[i] = now-lastActive >= RecruitmentDelay
@@ -158,7 +204,7 @@ type View struct {
 
 // NewView returns a view of tr starting at offset seconds (wrapped).
 func NewView(tr *Trace, offset float64) *View {
-	if len(tr.Samples) == 0 {
+	if tr.Len() == 0 {
 		panic("trace: NewView on empty trace")
 	}
 	return &View{trace: tr, offset: offset, mask: tr.sharedIdleMask()}
@@ -184,22 +230,22 @@ func (v *View) IdleAt(t float64) bool {
 }
 
 // Interval returns the sampling interval of the underlying trace.
-func (v *View) Interval() float64 { return v.trace.Interval }
+func (v *View) Interval() float64 { return v.trace.interval }
 
 // Validate checks structural invariants of the trace.
 func (t *Trace) Validate() error {
-	if t.Interval <= 0 {
-		return fmt.Errorf("trace: non-positive interval %g", t.Interval)
+	if t.interval <= 0 {
+		return fmt.Errorf("trace: non-positive interval %g", t.interval)
 	}
-	if t.TotalMB <= 0 {
-		return fmt.Errorf("trace: non-positive memory size %g", t.TotalMB)
+	if t.totalMB <= 0 {
+		return fmt.Errorf("trace: non-positive memory size %g", t.totalMB)
 	}
-	for i, s := range t.Samples {
-		if s.CPU < 0 || s.CPU > 1 {
-			return fmt.Errorf("trace: sample %d CPU %g out of [0,1]", i, s.CPU)
+	for i, c := range t.cpu {
+		if c < 0 || c > 1 {
+			return fmt.Errorf("trace: sample %d CPU %g out of [0,1]", i, c)
 		}
-		if s.FreeMB < 0 || s.FreeMB > t.TotalMB {
-			return fmt.Errorf("trace: sample %d free memory %g out of [0,%g]", i, s.FreeMB, t.TotalMB)
+		if f := t.free[i]; f < 0 || f > t.totalMB {
+			return fmt.Errorf("trace: sample %d free memory %g out of [0,%g]", i, f, t.totalMB)
 		}
 	}
 	return nil

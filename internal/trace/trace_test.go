@@ -5,12 +5,38 @@ import (
 	"testing"
 )
 
-func flat(n int, cpu float64, kb bool) *Trace {
-	tr := &Trace{Interval: SampleInterval, TotalMB: 64, Samples: make([]Sample, n)}
-	for i := range tr.Samples {
-		tr.Samples[i] = Sample{CPU: cpu, FreeMB: 30, Keyboard: kb}
+// flatSamples returns n identical samples with 30 MB free.
+func flatSamples(n int, cpu float64, kb bool) []Sample {
+	s := make([]Sample, n)
+	for i := range s {
+		s[i] = Sample{CPU: cpu, FreeMB: 30, Keyboard: kb}
 	}
-	return tr
+	return s
+}
+
+// flat returns a 64 MB trace of n identical samples.
+func flat(n int, cpu float64, kb bool) *Trace {
+	return NewTrace(SampleInterval, 64, flatSamples(n, cpu, kb))
+}
+
+// edited returns a 64 MB trace of n identical samples after edit has
+// changed the samples.
+func edited(n int, cpu float64, edit func([]Sample)) *Trace {
+	s := flatSamples(n, cpu, false)
+	edit(s)
+	return NewTrace(SampleInterval, 64, s)
+}
+
+func TestNewTraceCopiesSamples(t *testing.T) {
+	s := []Sample{{CPU: 0.1, FreeMB: 20}, {CPU: 0.9, FreeMB: 5, Keyboard: true}}
+	tr := NewTrace(SampleInterval, 64, s)
+	s[1] = Sample{}
+	if tr.Len() != 2 || tr.Interval() != SampleInterval || tr.TotalMB() != 64 {
+		t.Fatalf("shape = %d/%g/%g", tr.Len(), tr.Interval(), tr.TotalMB())
+	}
+	if got := tr.Sample(1); got != (Sample{CPU: 0.9, FreeMB: 5, Keyboard: true}) {
+		t.Errorf("Sample(1) = %+v after the input slice changed", got)
+	}
 }
 
 func TestIdleMaskQuietTraceIsIdle(t *testing.T) {
@@ -32,8 +58,7 @@ func TestIdleMaskBusyTraceIsNonIdle(t *testing.T) {
 }
 
 func TestIdleMaskKeyboardForcesNonIdle(t *testing.T) {
-	tr := flat(100, 0.02, false)
-	tr.Samples[10].Keyboard = true
+	tr := edited(100, 0.02, func(s []Sample) { s[10].Keyboard = true })
 	mask := tr.IdleMask()
 	if !mask[9] {
 		t.Error("sample before keyboard should be idle")
@@ -53,14 +78,13 @@ func TestIdleMaskKeyboardForcesNonIdle(t *testing.T) {
 }
 
 func TestIdleMaskCPUThreshold(t *testing.T) {
-	tr := flat(80, 0.02, false)
-	tr.Samples[20].CPU = RecruitmentCPU // exactly at threshold counts as active
+	// Exactly at threshold counts as active.
+	tr := edited(80, 0.02, func(s []Sample) { s[20].CPU = RecruitmentCPU })
 	mask := tr.IdleMask()
 	if mask[20] {
 		t.Error("threshold CPU sample should be non-idle")
 	}
-	tr2 := flat(80, 0.02, false)
-	tr2.Samples[20].CPU = RecruitmentCPU - 0.001
+	tr2 := edited(80, 0.02, func(s []Sample) { s[20].CPU = RecruitmentCPU - 0.001 })
 	if !tr2.IdleMask()[20] {
 		t.Error("below-threshold CPU sample should stay idle")
 	}
@@ -107,8 +131,7 @@ func TestEpisodesCoverTrace(t *testing.T) {
 }
 
 func TestAtWraps(t *testing.T) {
-	tr := flat(10, 0.02, false)
-	tr.Samples[3].CPU = 0.7
+	tr := edited(10, 0.02, func(s []Sample) { s[3].CPU = 0.7 })
 	if got := tr.At(3 * SampleInterval).CPU; got != 0.7 {
 		t.Errorf("At(6s).CPU = %g", got)
 	}
@@ -123,8 +146,7 @@ func TestAtWraps(t *testing.T) {
 }
 
 func TestViewOffset(t *testing.T) {
-	tr := flat(10, 0.02, false)
-	tr.Samples[5].CPU = 0.9
+	tr := edited(10, 0.02, func(s []Sample) { s[5].CPU = 0.9 })
 	v := NewView(tr, 5*SampleInterval)
 	if got := v.UtilizationAt(0); got != 0.9 {
 		t.Errorf("view UtilizationAt(0) = %g, want 0.9", got)
@@ -145,18 +167,15 @@ func TestValidate(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Errorf("valid trace rejected: %v", err)
 	}
-	bad := flat(5, 0.5, false)
-	bad.Samples[2].CPU = 1.5
+	bad := edited(5, 0.5, func(s []Sample) { s[2].CPU = 1.5 })
 	if bad.Validate() == nil {
 		t.Error("CPU > 1 accepted")
 	}
-	bad2 := flat(5, 0.5, false)
-	bad2.Samples[2].FreeMB = 100
+	bad2 := edited(5, 0.5, func(s []Sample) { s[2].FreeMB = 100 })
 	if bad2.Validate() == nil {
 		t.Error("free memory > total accepted")
 	}
-	bad3 := flat(5, 0.5, false)
-	bad3.Interval = 0
+	bad3 := NewTrace(0, 64, flatSamples(5, 0.5, false))
 	if bad3.Validate() == nil {
 		t.Error("zero interval accepted")
 	}
