@@ -32,7 +32,6 @@ import (
 	"lingerlonger/internal/cli"
 	"lingerlonger/internal/cluster"
 	"lingerlonger/internal/core"
-	"lingerlonger/internal/obs"
 	"lingerlonger/internal/scenario"
 	"lingerlonger/internal/stats"
 	"lingerlonger/internal/trace"
@@ -141,37 +140,23 @@ func realMain() (err error) {
 // expanded point. An explicit -seed overrides the spec's seed, matching
 // llsweep's precedence rule.
 func runScenario(path string, seed int64, quick bool, workers int, o *cli.Obs) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	spec, err := scenario.Decode(data)
-	if err != nil {
-		return cli.Usagef("%v", err)
-	}
-	if spec.Kind != scenario.KindCluster {
-		return cli.Usagef("%s: kind %q (lingersim runs cluster scenarios; use nodesim for node ones)", path, spec.Kind)
-	}
-	seedSet := false
-	flag.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "seed" })
-	if seedSet {
-		spec.Seed = seed
-	}
 	rec := o.Recorder()
-	id, specs, err := scenario.Expand(spec, quick)
-	if err != nil {
-		return cli.Usagef("%v", err)
-	}
-	rec.Counter(obs.ScenarioPointsExpanded).Add(int64(len(specs)))
-	results, err := scenario.Run(workers, specs, rec)
+	sc, err := cli.LoadScenario(flag.CommandLine, path, seed, quick, rec)
 	if err != nil {
 		return err
 	}
-	digest, err := spec.Digest()
+	if sc.Spec.Kind != scenario.KindCluster {
+		return cli.Usagef("%s: kind %q (lingersim runs cluster scenarios; use nodesim for node ones)", path, sc.Spec.Kind)
+	}
+	results, err := scenario.Run(workers, sc.Points, rec)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Scenario %s (seed %d, %d points, digest %.12s...)\n", id, spec.Seed, len(specs), digest)
+	digest, err := sc.Spec.Digest()
+	if err != nil {
+		return err
+	}
+	fmt.Printf("Scenario %s (seed %d, %d points, digest %.12s...)\n", sc.ID, sc.Spec.Seed, len(sc.Points), digest)
 	fmt.Printf("%-10s %-6s %12s %10s %12s %10s %6s\n",
 		"workload", "policy", "avg job (s)", "variation", "family (s)", "delay", "inc")
 	for i, raw := range results {

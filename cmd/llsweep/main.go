@@ -1,19 +1,19 @@
-// Command llsweep runs an experiment sweep — serially, on a local worker
-// pool, or distributed across a cluster of lingerd agent processes — and
-// emits a deterministic JSON report.
+// Command llsweep runs the sweep a declarative scenario spec (internal/
+// scenario) expands to — serially, on a local worker pool, or distributed
+// across a cluster of lingerd agent processes — and emits a deterministic
+// JSON report. The spec's name becomes the sweep ID and its seed the
+// report seed unless -seed is given explicitly. The paper's figure sweeps
+// are the committed specs: scenarios/node.json is Figure 5's one-node
+// grid and scenarios/fig8.json the Figures 7-8 policy comparison.
 //
-//	llsweep -sweep node -quick -workers 1
+//	llsweep -scenario scenarios/node.json -quick -workers 1
 //	    Serial reference run: the byte-exact baseline every other
 //	    execution mode must reproduce.
 //
 //	llsweep -scenario scenarios/fig8.json -workers 4
-//	    Scenario mode: expand a declarative scenario spec (internal/
-//	    scenario) instead of a named sweep. The spec's name becomes the
-//	    sweep ID and its seed the report seed unless -seed is given
-//	    explicitly; the committed specs under scenarios/ reproduce the
-//	    named sweeps byte for byte.
+//	    Local pool: the same points on four workers, same bytes.
 //
-//	llsweep -sweep node -quick -agents 127.0.0.1:7101,127.0.0.1:7102
+//	llsweep -scenario scenarios/node.json -quick -agents 127.0.0.1:7101,127.0.0.1:7102
 //	    Distributed run: partition the same points across agent processes
 //	    (lingerd -agent) with at-most-once dispatch, per-call deadlines,
 //	    bounded retry, suspect/dead health tracking, and automatic
@@ -22,13 +22,14 @@
 //	llsweep ... -checkpoint DIR
 //	    Persist completed points and resume an interrupted run; serial and
 //	    fabric runs share the same snapshot format, so a run can switch
-//	    modes between attempts.
+//	    modes between attempts. The checkpoint is keyed by the spec's
+//	    digest, so resuming with a different spec fails loudly.
 //
 //	llsweep ... -fault drop=0.05,seed=42
 //	    Apply the deterministic fault injector to every fabric call (the
 //	    lingerd -fault spec syntax); the report bytes must not change.
 //
-// The report on stdout is a pure function of (sweep, seed, quick): agent
+// The report on stdout is a pure function of (spec, seed, quick): agent
 // count, worker count, faults, retries, and resumption never change a
 // byte. Execution details go to stderr.
 package main
@@ -43,9 +44,7 @@ import (
 	"lingerlonger/internal/cli"
 	"lingerlonger/internal/exp"
 	"lingerlonger/internal/fabric"
-	"lingerlonger/internal/obs"
 	"lingerlonger/internal/runtime"
-	"lingerlonger/internal/scenario"
 )
 
 func main() {
@@ -57,9 +56,8 @@ func realMain() (err error) {
 	o.RegisterFlags()
 	link := cli.LinkFlags(flag.CommandLine)
 	var (
-		sweepName = flag.String("sweep", "node", fmt.Sprintf("sweep to run, one of %v", fabric.SweepNames()))
-		scenPath  = flag.String("scenario", "", "run a scenario spec `file` instead of a named sweep")
-		seed      = flag.Int64("seed", 1, "master seed; per-point seeds derive from it")
+		scenPath  = flag.String("scenario", "", "scenario spec `file` to run (required), e.g. scenarios/node.json")
+		seed      = flag.Int64("seed", 1, "master seed overriding the spec's; per-point seeds derive from it")
 		quick     = flag.Bool("quick", false, "smaller sweep for smoke runs")
 		workers   = flag.Int("workers", 1, "local mode: worker pool size (ignored with -agents)")
 		agents    = flag.String("agents", "", "fabric mode: comma-separated lingerd agent addresses")
@@ -75,54 +73,33 @@ func realMain() (err error) {
 	if flag.NArg() > 0 {
 		return cli.Usagef("unexpected argument %q", flag.Arg(0))
 	}
+	if *scenPath == "" {
+		return cli.Usagef("-scenario is required")
+	}
 	if err := o.Start(); err != nil {
 		return err
 	}
 	defer o.Finish(&err)
 	rec := o.Recorder()
 
-	var (
-		id    string
-		specs []exp.PointSpec
-	)
-	if *scenPath != "" {
-		data, err := os.ReadFile(*scenPath)
-		if err != nil {
-			return err
-		}
-		spec, err := scenario.Decode(data)
-		if err != nil {
-			return cli.Usagef("%v", err)
-		}
-		// An explicit -seed overrides the spec's; otherwise the spec's
-		// seed is the report seed, so the report stays a pure function of
-		// the file content.
-		seedSet := false
-		flag.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "seed" })
-		if seedSet {
-			spec.Seed = *seed
-		} else {
-			*seed = spec.Seed
-		}
-		id, specs, err = scenario.Expand(spec, *quick)
-		if err != nil {
-			return cli.Usagef("%v", err)
-		}
-		rec.Counter(obs.ScenarioPointsExpanded).Add(int64(len(specs)))
-	} else {
-		var err error
-		id, specs, err = fabric.BuildSweep(*sweepName, *seed, *quick)
-		if err != nil {
-			return cli.Usagef("%v", err)
-		}
+	sc, err := cli.LoadScenario(flag.CommandLine, *scenPath, *seed, *quick, rec)
+	if err != nil {
+		return err
 	}
+	id, specs := sc.ID, sc.Points
 
 	var store exp.Store
 	if *ckptDir != "" {
+		// The spec digest makes a checkpoint resumable only by the spec
+		// that wrote it, not by any spec sharing its name and seed.
+		digest, err := sc.Spec.Digest()
+		if err != nil {
+			return err
+		}
 		run, err := checkpoint.OpenOrCreate(*ckptDir, checkpoint.Meta{
 			Schema: checkpoint.SchemaVersion,
-			Seed:   *seed,
-			Config: fmt.Sprintf("quick=%t", *quick),
+			Seed:   sc.Spec.Seed,
+			Config: fmt.Sprintf("quick=%t,spec=%s", *quick, digest),
 			Sweep:  id,
 		})
 		if err != nil {
@@ -183,7 +160,7 @@ func realMain() (err error) {
 			stats.Suspected, stats.Dead, stats.Resurrected, stats.Transport.Retries)
 	}
 
-	report, err := fabric.EncodeReport(id, *seed, *quick, results)
+	report, err := fabric.EncodeReport(id, sc.Spec.Seed, *quick, results)
 	if err != nil {
 		return err
 	}

@@ -23,13 +23,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 
 	"lingerlonger/internal/cli"
 	"lingerlonger/internal/node"
-	"lingerlonger/internal/obs"
 	"lingerlonger/internal/scenario"
 	"lingerlonger/internal/workload"
 )
@@ -96,37 +94,23 @@ func realMain() (err error) {
 // its expanded grid. An explicit -seed overrides the spec's seed, matching
 // llsweep's precedence rule.
 func runScenario(path string, seed int64, quick bool, workers int, o *cli.Obs) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	spec, err := scenario.Decode(data)
-	if err != nil {
-		return cli.Usagef("%v", err)
-	}
-	if spec.Kind != scenario.KindNode {
-		return cli.Usagef("%s: kind %q (nodesim runs node scenarios; use lingersim for cluster ones)", path, spec.Kind)
-	}
-	seedSet := false
-	flag.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "seed" })
-	if seedSet {
-		spec.Seed = seed
-	}
 	rec := o.Recorder()
-	id, specs, err := scenario.Expand(spec, quick)
-	if err != nil {
-		return cli.Usagef("%v", err)
-	}
-	rec.Counter(obs.ScenarioPointsExpanded).Add(int64(len(specs)))
-	results, err := scenario.Run(workers, specs, rec)
+	sc, err := cli.LoadScenario(flag.CommandLine, path, seed, quick, rec)
 	if err != nil {
 		return err
 	}
-	digest, err := spec.Digest()
+	if sc.Spec.Kind != scenario.KindNode {
+		return cli.Usagef("%s: kind %q (nodesim runs node scenarios; use lingersim for cluster ones)", path, sc.Spec.Kind)
+	}
+	results, err := scenario.Run(workers, sc.Points, rec)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Scenario %s (seed %d, %d points, digest %.12s...)\n", id, spec.Seed, len(specs), digest)
+	digest, err := sc.Spec.Digest()
+	if err != nil {
+		return err
+	}
+	fmt.Printf("Scenario %s (seed %d, %d points, digest %.12s...)\n", sc.ID, sc.Spec.Seed, len(sc.Points), digest)
 	fmt.Printf("%8s %10s %10s %10s\n", "util", "cs (µs)", "LDR", "FCSR")
 	for i, raw := range results {
 		var pt scenario.NodePoint

@@ -9,12 +9,15 @@ import (
 	"lingerlonger/internal/scenario"
 )
 
-// The committed specs under scenarios/ are the declarative form of the
-// builtin figure sweeps. These golden tests pin the contract that makes
-// them interchangeable: expanding a spec and running its points through
-// the fabric produces a report byte-identical to the legacy named sweep.
+// The committed specs under scenarios/ are the paper's figure sweeps.
+// These golden tests pin their reports: expanding a spec and running its
+// points through the fabric must reproduce the committed report under
+// testdata/ byte for byte. The reports were recorded from the original
+// named-sweep tasks the specs replaced, so they also pin that the spec
+// form computes exactly what those tasks did. A change that moves one of
+// these bytes changes a paper figure; regenerating them hides that.
 
-func goldenScenario(t *testing.T, file, sweep string) {
+func goldenScenario(t *testing.T, file string, quick bool, golden string) {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("..", "..", "scenarios", file))
 	if err != nil {
@@ -24,51 +27,39 @@ func goldenScenario(t *testing.T, file, sweep string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	legacyID, legacySpecs, err := BuildSweep(sweep, spec.Seed, true)
+	id, specs, err := scenario.Expand(spec, quick)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacyResults, _, err := RunLocal(BuiltinTasks(), nil, 2, legacyID, legacySpecs, nil)
+	results, _, err := RunLocal(BuiltinTasks(), nil, 2, id, specs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := EncodeReport(legacyID, spec.Seed, true, legacyResults)
+	got, err := EncodeReport(id, spec.Seed, quick, results)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	scenID, scenSpecs, err := scenario.Expand(spec, true)
+	want, err := os.ReadFile(filepath.Join("testdata", golden))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scenID != legacyID {
-		t.Fatalf("scenario %s expands to sweep id %q, legacy id is %q", file, scenID, legacyID)
-	}
-	if len(scenSpecs) != len(legacySpecs) {
-		t.Fatalf("scenario %s expands to %d points, legacy sweep has %d", file, len(scenSpecs), len(legacySpecs))
-	}
-	scenResults, _, err := RunLocal(BuiltinTasks(), nil, 2, scenID, scenSpecs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scen, err := EncodeReport(scenID, spec.Seed, true, scenResults)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !bytes.Equal(legacy, scen) {
-		t.Errorf("scenario %s is not byte-identical to sweep %q:\n--- legacy ---\n%s\n--- scenario ---\n%s",
-			file, sweep, legacy, scen)
+	if !bytes.Equal(got, want) {
+		t.Errorf("scenario %s (quick=%t) differs from testdata/%s:\n--- got ---\n%s\n--- want ---\n%s",
+			file, quick, golden, got, want)
 	}
 }
 
+// TestGoldenNodeScenario pins Figure 5's one-node grid: the quick smoke
+// grid and the full 3 context switches x 19 utilizations.
 func TestGoldenNodeScenario(t *testing.T) {
-	goldenScenario(t, "node.json", "node")
+	goldenScenario(t, "node.json", true, "node-quick.json")
+	goldenScenario(t, "node.json", false, "node.json")
 }
 
+// TestGoldenFig8Scenario pins the Figures 7-8 policy comparison at quick
+// scale.
 func TestGoldenFig8Scenario(t *testing.T) {
-	goldenScenario(t, "fig8.json", "fig8")
+	goldenScenario(t, "fig8.json", true, "fig8-quick.json")
 }
 
 // TestScenarioTaskRegistered pins the fabric contract: agents resolve the

@@ -2,65 +2,31 @@ package fabric
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"lingerlonger/internal/exp"
 	"lingerlonger/internal/scenario"
 )
 
+// TestBuiltinTasksRegistry pins the fabric contract: agents resolve every
+// point from the builtin table, and the scenario task is the only
+// simulation task in it.
 func TestBuiltinTasksRegistry(t *testing.T) {
-	reg := BuiltinTasks()
-	want := []string{TaskCluster, TaskNode, scenario.TaskName}
-	got := reg.Names()
-	if len(got) != len(want) {
+	if got, want := BuiltinTasks().Names(), []string{scenario.TaskName}; !slices.Equal(got, want) {
 		t.Fatalf("names = %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("names = %v, want %v", got, want)
-		}
-	}
 }
 
-func TestBuildSweepDeterministic(t *testing.T) {
-	for _, name := range SweepNames() {
-		id1, specs1, err := BuildSweep(name, 7, true)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		id2, specs2, err := BuildSweep(name, 7, true)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if id1 != id2 || len(specs1) != len(specs2) || len(specs1) == 0 {
-			t.Fatalf("%s: ids %q/%q, %d/%d specs", name, id1, id2, len(specs1), len(specs2))
-		}
-		for i := range specs1 {
-			a, b := specs1[i], specs2[i]
-			if a.Index != i || a.Task != b.Task || a.Seed != b.Seed || string(a.Params) != string(b.Params) {
-				t.Errorf("%s point %d differs: %+v vs %+v", name, i, a, b)
-			}
-			if a.Seed != exp.DeriveSeed(7, i) {
-				t.Errorf("%s point %d seed %d, want DeriveSeed(7,%d)", name, i, a.Seed, i)
-			}
-			if err := a.Validate(); err != nil {
-				t.Errorf("%s point %d invalid: %v", name, i, err)
-			}
-		}
-	}
+// scenarioPoint is a scenario point spec with the given raw params.
+func scenarioPoint(seed int64, params string) exp.PointSpec {
+	return exp.PointSpec{Task: scenario.TaskName, Sweep: "unit", Index: 0, Seed: seed, Params: []byte(params)}
 }
 
-func TestBuildSweepUnknown(t *testing.T) {
-	if _, _, err := BuildSweep("nope", 1, false); err == nil {
-		t.Error("unknown sweep accepted")
-	}
-}
-
-// The node task must be a pure function of its spec: same spec, same
-// bytes; different seed, (almost surely) different bytes.
-func TestNodeTaskDeterministic(t *testing.T) {
-	params, _ := json.Marshal(nodeParams{ContextSwitch: 300e-6, Utilization: 0.3, Duration: 50})
-	spec := exp.PointSpec{Task: TaskNode, Sweep: "unit", Index: 0, Seed: 11, Params: params}
+// runTwice runs spec through the builtin registry twice and fails unless
+// both runs produce the same bytes.
+func runTwice(t *testing.T, spec exp.PointSpec) []byte {
+	t.Helper()
 	reg := BuiltinTasks()
 	b1, err := reg.Run(spec)
 	if err != nil {
@@ -71,10 +37,17 @@ func TestNodeTaskDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(b1) != string(b2) {
-		t.Errorf("node task not deterministic:\n%s\n%s", b1, b2)
+		t.Errorf("%s point not deterministic:\n%s\n%s", spec.Params, b1, b2)
 	}
-	var pt nodePoint
-	if err := json.Unmarshal(b1, &pt); err != nil {
+	return b1
+}
+
+// A node point run through the registry is a pure function of its spec
+// and echoes its cell.
+func TestNodeTaskDeterministic(t *testing.T) {
+	out := runTwice(t, scenarioPoint(11, `{"kind":"node","node":{"cs":0.0003,"util":0.3,"dur":50}}`))
+	var pt scenario.NodePoint
+	if err := json.Unmarshal(out, &pt); err != nil {
 		t.Fatal(err)
 	}
 	if pt.ContextSwitch != 300e-6 || pt.Utilization != 0.3 {
@@ -88,11 +61,10 @@ func TestNodeTaskDeterministic(t *testing.T) {
 func TestNodeTaskRejectsBadParams(t *testing.T) {
 	reg := BuiltinTasks()
 	for name, params := range map[string]string{
-		"malformed":    `{"cs":`,
-		"non-positive": `{"cs":1e-4,"util":0.3,"dur":0}`,
+		"malformed":    `{"kind":"node","node":`,
+		"non-positive": `{"kind":"node","node":{"cs":1e-4,"util":0.3,"dur":0}}`,
 	} {
-		spec := exp.PointSpec{Task: TaskNode, Sweep: "unit", Index: 0, Seed: 1, Params: []byte(params)}
-		if _, err := reg.Run(spec); err == nil {
+		if _, err := reg.Run(scenarioPoint(1, params)); err == nil {
 			t.Errorf("%s params accepted", name)
 		}
 	}
@@ -101,12 +73,11 @@ func TestNodeTaskRejectsBadParams(t *testing.T) {
 func TestClusterTaskRejectsBadParams(t *testing.T) {
 	reg := BuiltinTasks()
 	for name, params := range map[string]string{
-		"malformed":      `{"policy":`,
-		"unknown policy": `{"policy":"XX","workload":1,"quick":true}`,
-		"bad workload":   `{"policy":"LL","workload":3,"quick":true}`,
+		"malformed":      `{"kind":"cluster","policy":`,
+		"unknown policy": `{"kind":"cluster","policy":"XX","workload":"w1","quick":true}`,
+		"bad workload":   `{"kind":"cluster","policy":"LL","workload":"w3","quick":true}`,
 	} {
-		spec := exp.PointSpec{Task: TaskCluster, Sweep: "unit", Index: 0, Seed: 1, Params: []byte(params)}
-		if _, err := reg.Run(spec); err == nil {
+		if _, err := reg.Run(scenarioPoint(1, params)); err == nil {
 			t.Errorf("%s params accepted", name)
 		}
 	}
@@ -118,36 +89,19 @@ func TestClusterTaskQuickPoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster simulation point is slow")
 	}
-	params, _ := json.Marshal(clusterParams{Policy: "LL", Workload: 2, Quick: true})
-	spec := exp.PointSpec{Task: TaskCluster, Sweep: "unit", Index: 0, Seed: 5, Params: params}
-	reg := BuiltinTasks()
-	b1, err := reg.Run(spec)
+	spec, err := scenario.Decode([]byte(`{"scenarioVersion":1,"name":"unit","kind":"cluster","policy":"LL","workload":"w2","seed":5}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := reg.Run(spec)
+	_, points, err := scenario.Expand(spec, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(b1) != string(b2) {
-		t.Errorf("cluster task not deterministic:\n%s\n%s", b1, b2)
-	}
-	var pt clusterPoint
-	if err := json.Unmarshal(b1, &pt); err != nil {
+	var pt scenario.ClusterPoint
+	if err := json.Unmarshal(runTwice(t, points[0]), &pt); err != nil {
 		t.Fatal(err)
 	}
-	if pt.Policy != "LL" || pt.Workload != 2 || pt.AvgCompletion <= 0 {
+	if pt.Policy != "LL" || pt.Workload != 2.0 || pt.AvgCompletion <= 0 {
 		t.Errorf("cluster point = %+v", pt)
-	}
-}
-
-// The full (non-quick) node sweep is 3 context switches x 19 utilizations.
-func TestBuildSweepFullNode(t *testing.T) {
-	_, specs, err := BuildSweep("node", 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(specs) != 3*19 {
-		t.Errorf("full node sweep has %d points, want %d", len(specs), 3*19)
 	}
 }

@@ -15,12 +15,12 @@ import (
 )
 
 // This file turns a normalized spec into executable sweep points and
-// implements the "scenario" task that computes one. The cluster and node
-// branches deliberately mirror the legacy fabric tasks operation for
-// operation — same config construction, same two-space seed derivation,
-// same quick shrink, same result field order — which is what lets the
-// committed scenarios/ specs reproduce the legacy sweeps byte for byte
-// (pinned by golden_test.go).
+// implements the "scenario" task that computes one — the only simulation
+// task in the fabric. Config construction, the two-space seed derivation,
+// the quick shrink and the result field order are part of the output
+// contract: the committed scenarios/ specs must reproduce the golden
+// reports under internal/fabric/testdata byte for byte (pinned by
+// internal/fabric/scenario_golden_test.go).
 
 // TaskName is the fabric task every scenario point runs under; it is
 // registered in fabric.BuiltinTasks so agents and serial drivers agree
@@ -56,10 +56,10 @@ type NodeCell struct {
 	Duration float64 `json:"dur"`
 }
 
-// ClusterPoint is the result document of a cluster scenario point. The
-// field names and order match the legacy fabric cluster task; Workload
-// is the paper's workload number for legacy families and the registered
-// name for new ones.
+// ClusterPoint is the result document of a cluster scenario point. Its
+// field names and order are pinned by the golden reports; Workload is the
+// paper's workload number for legacy families and the registered name
+// for new ones.
 type ClusterPoint struct {
 	// Policy echoes the registered policy name.
 	Policy string `json:"policy"`
@@ -91,8 +91,8 @@ type ClusterPoint struct {
 	Incomplete int `json:"incomplete"`
 }
 
-// NodePoint is the result document of a node scenario point, matching
-// the legacy fabric node task.
+// NodePoint is the result document of a node scenario point; its field
+// names and order are pinned by the golden reports.
 type NodePoint struct {
 	// ContextSwitch echoes the cell's context-switch time, seconds.
 	ContextSwitch float64 `json:"cs"`
@@ -104,8 +104,7 @@ type NodePoint struct {
 	FCSR float64 `json:"fcsr"`
 }
 
-// quickUtils is the fixed utilization grid quick node runs use (the
-// legacy quick sweep's axes).
+// quickUtils is the fixed utilization grid quick node runs use.
 var quickUtils = []float64{0, 0.3, 0.6, 0.9}
 
 // Expand expands a normalized spec into its point specs: the sweep ID is
@@ -116,7 +115,7 @@ var quickUtils = []float64{0, 0.3, 0.6, 0.9}
 // replications (inner); node scenarios iterate context switches (outer)
 // x utilizations (inner). quick shrinks the computation, never the axes
 // — except node utilizations and duration, which quick pins to the fixed
-// smoke grid exactly like the legacy sweep.
+// smoke grid.
 func Expand(s *Spec, quick bool) (string, []exp.PointSpec, error) {
 	if err := s.Normalize(); err != nil {
 		return "", nil, err
@@ -217,6 +216,9 @@ func runClusterPoint(p PointParams, seed int64) ([]byte, error) {
 	if p.Cluster == nil || p.Trace == nil {
 		return nil, fmt.Errorf("scenario: cluster point without cluster/trace params")
 	}
+	if p.Cluster.MemoryCheck == nil {
+		return nil, fmt.Errorf("scenario: cluster point without cluster.memoryCheck")
+	}
 	cfg := cluster.DefaultConfig()
 	cfg.Policy = pe.Policy
 	we.Apply(&cfg, p.Quick)
@@ -235,9 +237,8 @@ func runClusterPoint(p PointParams, seed int64) ([]byte, error) {
 		cfg.NumJobs = math.Min(cfg.NumJobs, 24)
 		cfg.JobCPU = 120
 	}
-	// Two independent seed spaces off the point seed — the same split the
-	// legacy fabric cluster task uses: one for the trace corpus, one for
-	// the simulation itself.
+	// Two independent seed spaces off the point seed: one for the trace
+	// corpus, one for the simulation itself.
 	corpus, err := trace.GenerateCorpus(tcfg, machines, stats.NewRNG(exp.DeriveSeed(seed, 0)))
 	if err != nil {
 		return nil, err

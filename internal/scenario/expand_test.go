@@ -149,6 +149,7 @@ func TestTaskErrors(t *testing.T) {
 		{"unregistered policy", mk(`{"kind": "cluster", "policy": "ZZ", "workload": "w1"}`)},
 		{"unregistered workload", mk(`{"kind": "cluster", "policy": "LL", "workload": "zz"}`)},
 		{"cluster without params", mk(`{"kind": "cluster", "policy": "LL", "workload": "w1"}`)},
+		{"cluster without memoryCheck", mk(`{"kind": "cluster", "policy": "LL", "workload": "w1", "cluster": {"nodes": 16}, "trace": {"machines": 6, "days": 1}}`)},
 		{"node without cell", mk(`{"kind": "node"}`)},
 		{"node bad duration", mk(`{"kind": "node", "node": {"cs": 0.0001, "util": 0.3, "dur": 0}}`)},
 	}

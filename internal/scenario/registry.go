@@ -80,8 +80,7 @@ type WorkloadEntry struct {
 	Info string
 	// Legacy is the paper's workload number when this entry reproduces
 	// one (1 or 2); 0 for new families. Result documents carry the
-	// legacy number when set — that is what keeps spec-driven fig8 runs
-	// byte-identical to the legacy sweep.
+	// legacy number when set, as the committed fig8 golden report pins.
 	Legacy int
 	// HeavyTailed marks job-size families with tail index <= 2 (or
 	// comparable subexponential mass).

@@ -15,8 +15,8 @@
 // via exp.DeriveSeed(spec.Seed, index). Every execution path — serial,
 // local pool, distributed fabric, llserve — therefore computes identical
 // bytes for a given (spec, seed, quick), and the committed specs under
-// scenarios/ reproduce the legacy figure sweeps byte for byte (pinned by
-// golden tests).
+// scenarios/ reproduce the golden figure reports under
+// internal/fabric/testdata byte for byte.
 package scenario
 
 import (
