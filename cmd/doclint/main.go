@@ -1,7 +1,7 @@
 // Command doclint checks that every exported identifier in the named
 // package directories carries a doc comment, and that each package has a
 // package comment. It is the CI companion to the repository's
-// documentation convention: the godoc of internal/sim, internal/memory
+// documentation convention: the godoc of internal/node, internal/memory
 // and internal/workload is part of the determinism contract's paper
 // trail, so a missing comment is a build failure, not a style nit.
 //

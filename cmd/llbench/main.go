@@ -5,10 +5,10 @@
 // The suite has three parts, chosen to cover the three layers a
 // performance PR can touch:
 //
-//   - engine: the event-dispatch microbenchmark (a self-rescheduling
-//     handler stepped in a tight loop), run on the calendar-queue engine
-//     and on the retained binary-heap reference scheduler, so the snapshot
-//     carries its own like-for-like speedup and allocs/op.
+//   - node: the fine-grain burst-loop microbenchmark (one workstation
+//     serving an unbounded foreign job at 50% local utilization), run on
+//     the batched fast path and on the retained per-burst reference, so
+//     the snapshot carries its own like-for-like speedup and allocs/op.
 //   - cluster: a Figure 7-style batch run (Workload 1, Linger-Longer) on a
 //     seeded trace corpus, reporting mean/P95 job completion latency in
 //     simulated seconds plus wall-clock.
@@ -24,12 +24,13 @@
 //	llbench -validate FILE
 //	llbench -table FILE
 //
-// -quick shrinks the cluster and serve suites for CI; the engine
+// -quick shrinks the cluster and serve suites for CI; the node
 // microbenchmark is identical in both modes, which is why the CI gate
-// (-gate) compares only engine metrics: events/s may not drop and
-// allocs/op may not grow by more than bench.GateTolerance against the
-// latest committed snapshot (or -baseline). Exit codes: 0 on success,
-// 1 on runtime failure or a gate violation, 2 on usage errors.
+// (-gate) compares only node metrics: ns per simulated second and
+// allocs/op may not grow, and the speedup over the reference may not
+// drop, by more than bench.GateTolerance against the latest committed
+// snapshot (or -baseline). Exit codes: 0 on success, 1 on runtime failure
+// or a gate violation, 2 on usage errors.
 package main
 
 import (
@@ -59,7 +60,6 @@ import (
 	"lingerlonger/internal/exp"
 	"lingerlonger/internal/node"
 	"lingerlonger/internal/serve"
-	"lingerlonger/internal/sim"
 	"lingerlonger/internal/stats"
 	"lingerlonger/internal/trace"
 	"lingerlonger/internal/workload"
@@ -72,7 +72,7 @@ func main() {
 func realMain() error {
 	cli.RegisterVersionFlag()
 	var (
-		quick    = flag.Bool("quick", false, "smaller cluster/serve suites (engine suite unchanged)")
+		quick    = flag.Bool("quick", false, "smaller cluster/serve suites (node suite unchanged)")
 		seed     = flag.Int64("seed", 1, "master seed for the cluster corpus and serve request stream")
 		dir      = flag.String("dir", ".", "snapshot directory (BENCH_<n>.json trajectory)")
 		id       = flag.Int("id", 0, "snapshot id; 0 = one past the latest in -dir")
@@ -126,8 +126,6 @@ func realMain() error {
 		Notes:         *notes,
 	}
 
-	fmt.Fprintf(os.Stderr, "llbench: engine suite...\n")
-	snap.Engine = engineSuite()
 	fmt.Fprintf(os.Stderr, "llbench: node suite...\n")
 	snap.Node = nodeSuite()
 	fmt.Fprintf(os.Stderr, "llbench: cluster suite...\n")
@@ -187,47 +185,6 @@ func loadBaseline(file, dir string) (*bench.Snapshot, string, error) {
 		return nil, "", fmt.Errorf("llbench: -gate needs a baseline: no BENCH_<n>.json in %s and no -baseline", dir)
 	}
 	return s, path, err
-}
-
-// engineSuite runs the event-dispatch microbenchmark on both schedulers.
-// The workload is the same self-rescheduling handler as
-// BenchmarkEngineStep in internal/sim: each fired event schedules its
-// successor one second out, so the queue holds exactly one event and the
-// measurement isolates Schedule+Step dispatch cost.
-func engineSuite() bench.EngineSuite {
-	cal := testing.Benchmark(func(b *testing.B) {
-		var e sim.Engine
-		var h sim.Handler
-		h = func(eng *sim.Engine) { eng.After(1.0, h) }
-		e.After(1.0, h)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.Step()
-		}
-	})
-	heap := testing.Benchmark(func(b *testing.B) {
-		var e sim.HeapEngine
-		var h sim.HeapHandler
-		h = func(eng *sim.HeapEngine) { eng.After(1.0, h) }
-		e.After(1.0, h)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.Step()
-		}
-	})
-	ns := float64(cal.NsPerOp())
-	heapNs := float64(heap.NsPerOp())
-	return bench.EngineSuite{
-		NsPerEvent:      ns,
-		EventsPerSec:    1e9 / ns,
-		BytesPerOp:      float64(cal.AllocedBytesPerOp()),
-		AllocsPerOp:     float64(cal.AllocsPerOp()),
-		HeapNsPerEvent:  heapNs,
-		HeapAllocsPerOp: float64(heap.AllocsPerOp()),
-		SpeedupVsHeap:   heapNs / ns,
-	}
 }
 
 // nodeSuite runs the fine-grain burst-loop microbenchmark: one node

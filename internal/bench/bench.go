@@ -4,9 +4,9 @@
 // Markdown rendering the README results table is generated from.
 //
 // A snapshot is produced by cmd/llbench and records one run of the fixed
-// three-suite benchmark: the engine event-dispatch microbenchmark (with
-// the retained binary-heap scheduler as its baseline), a Figure 7-style
-// cluster batch run, and an llserve warm/cold request mix. Snapshots are
+// three-suite benchmark: the node burst-loop microbenchmark (with the
+// retained per-burst reference as its baseline), a Figure 7-style cluster
+// batch run, and an llserve warm/cold request mix. Snapshots are
 // committed at the repository root as BENCH_001.json, BENCH_002.json, …
 // so the sequence forms a benchmark trajectory: every performance-relevant
 // PR appends one file, and the trajectory is diffable, plottable, and
@@ -31,7 +31,8 @@ import (
 const SchemaVersion = 1
 
 // GateTolerance is the relative regression the CI gate accepts on the
-// gated metrics (engine events/s and allocs/op) before failing the build.
+// gated metrics (node ns/sim-s, allocs/op and speedup over the reference)
+// before failing the build.
 const GateTolerance = 0.15
 
 // Snapshot is one benchmark run: the unit of the trajectory.
@@ -47,14 +48,19 @@ type Snapshot struct {
 	// PR that produced the snapshot and what changed.
 	Notes string `json:"notes,omitempty"`
 
-	Engine  EngineSuite  `json:"engine"`
+	// Engine is the retired event-dispatch microbenchmark, recorded by
+	// BENCH_006 and BENCH_007. It is optional (a pointer, omitted when
+	// absent) so those snapshots still load and render under the same
+	// schema version, while new snapshots leave it out.
+	Engine  *EngineSuite `json:"engine,omitempty"`
 	Cluster ClusterSuite `json:"cluster"`
 	Serve   ServeSuite   `json:"serve"`
 
 	// Node is the fine-grain burst-loop microbenchmark, added with
 	// BENCH_007. The field is optional (a pointer, omitted when absent) so
-	// earlier snapshots still load and gate under the same schema version:
-	// adding an optional field is an additive change, not a migration.
+	// earlier snapshots still load under the same schema version: adding
+	// an optional field is an additive change, not a migration. The gate
+	// requires it on both sides.
 	Node *NodeSuite `json:"node,omitempty"`
 }
 
@@ -63,7 +69,7 @@ type Snapshot struct {
 // utilization, run on the batched fast path (node.Node with stream
 // lookahead) and on the retained per-burst reference (node.RefNode), which
 // is the pre-rewrite implementation — so SpeedupVsRef is the like-for-like
-// gain of the burst-loop rewrite, mirroring EngineSuite.SpeedupVsHeap.
+// gain of the burst-loop rewrite, measured within one process.
 type NodeSuite struct {
 	// SimSecondsPerOp is the simulated span served per benchmark iteration.
 	SimSecondsPerOp float64 `json:"simSecondsPerOp"`
@@ -76,10 +82,11 @@ type NodeSuite struct {
 	SpeedupVsRef     float64 `json:"speedupVsRef"`
 }
 
-// EngineSuite is the event-dispatch microbenchmark: a self-rescheduling
-// handler stepped by the calendar-queue engine and, as the baseline, by
-// the retained binary-heap reference scheduler (sim.HeapEngine). The two
-// run the same workload, so SpeedupVsHeap is a like-for-like ratio.
+// EngineSuite is the event-dispatch microbenchmark of the discrete-event
+// engine the repository once carried: a self-rescheduling handler stepped
+// by a calendar-queue scheduler and, as the baseline, by a binary-heap
+// scheduler. The engine is gone; the type stays so the snapshots that
+// recorded it remain readable.
 type EngineSuite struct {
 	NsPerEvent      float64 `json:"nsPerEvent"`
 	EventsPerSec    float64 `json:"eventsPerSec"`
@@ -142,18 +149,19 @@ func (s *Snapshot) Validate() error {
 	if s.GoVersion == "" || s.GOOS == "" || s.GOARCH == "" {
 		return errors.New("bench: goVersion/goos/goarch must be recorded")
 	}
-	e := &s.Engine
-	switch {
-	case e.NsPerEvent <= 0:
-		return fmt.Errorf("bench: engine.nsPerEvent must be positive, got %g", e.NsPerEvent)
-	case e.EventsPerSec <= 0:
-		return fmt.Errorf("bench: engine.eventsPerSec must be positive, got %g", e.EventsPerSec)
-	case e.BytesPerOp < 0 || e.AllocsPerOp < 0:
-		return errors.New("bench: engine bytes/allocs per op must be non-negative")
-	case e.HeapNsPerEvent <= 0:
-		return fmt.Errorf("bench: engine.heapNsPerEvent must be positive, got %g", e.HeapNsPerEvent)
-	case e.SpeedupVsHeap <= 0:
-		return fmt.Errorf("bench: engine.speedupVsHeap must be positive, got %g", e.SpeedupVsHeap)
+	if e := s.Engine; e != nil {
+		switch {
+		case e.NsPerEvent <= 0:
+			return fmt.Errorf("bench: engine.nsPerEvent must be positive, got %g", e.NsPerEvent)
+		case e.EventsPerSec <= 0:
+			return fmt.Errorf("bench: engine.eventsPerSec must be positive, got %g", e.EventsPerSec)
+		case e.BytesPerOp < 0 || e.AllocsPerOp < 0:
+			return errors.New("bench: engine bytes/allocs per op must be non-negative")
+		case e.HeapNsPerEvent <= 0:
+			return fmt.Errorf("bench: engine.heapNsPerEvent must be positive, got %g", e.HeapNsPerEvent)
+		case e.SpeedupVsHeap <= 0:
+			return fmt.Errorf("bench: engine.speedupVsHeap must be positive, got %g", e.SpeedupVsHeap)
+		}
 	}
 	c := &s.Cluster
 	switch {
@@ -210,24 +218,44 @@ func (s *Snapshot) Validate() error {
 
 // Compare checks cur against base on the gated metrics and returns one
 // human-readable violation per regression beyond GateTolerance. The gate
-// covers exactly what ISSUEd performance work must protect: engine
-// throughput (events/s may not drop more than 15%) and allocation
-// discipline (allocs/op may not grow more than 15%, with a half-alloc
-// absolute grace so a zero-alloc baseline doesn't trip on measurement
-// noise). Other metrics are trajectory data, not gates: cluster and serve
-// numbers shift with suite sizing and machine load, so they are recorded
-// and read by humans instead.
+// covers the node burst loop, the simulators' hot path: wall time per
+// simulated second may not grow more than 15%; allocation discipline
+// (allocs/op may not grow more than 15%, with a half-alloc absolute grace
+// so a zero-alloc baseline doesn't trip on measurement noise); and the
+// speedup over the per-burst reference may not drop more than 15%. That
+// last ratio is measured within one process, so it holds on a slower
+// machine where the absolute floor cannot. A snapshot without a node
+// suite on either side is itself a violation, so the gate never passes
+// vacuously. Other metrics are trajectory data, not gates: cluster and
+// serve numbers shift with suite sizing and machine load, so they are
+// recorded and read by humans instead.
 func Compare(base, cur *Snapshot) []string {
 	var bad []string
-	if floor := base.Engine.EventsPerSec * (1 - GateTolerance); cur.Engine.EventsPerSec < floor {
-		bad = append(bad, fmt.Sprintf(
-			"engine.eventsPerSec regressed: %.3g < %.3g (baseline %.3g - %d%%)",
-			cur.Engine.EventsPerSec, floor, base.Engine.EventsPerSec, int(GateTolerance*100)))
+	if base.Node == nil {
+		bad = append(bad, fmt.Sprintf("baseline %s has no node suite to gate on", Filename(base.ID)))
 	}
-	if ceil := base.Engine.AllocsPerOp*(1+GateTolerance) + 0.5; cur.Engine.AllocsPerOp > ceil {
+	if cur.Node == nil {
+		bad = append(bad, fmt.Sprintf("current %s has no node suite to gate on", Filename(cur.ID)))
+	}
+	if len(bad) > 0 {
+		return bad
+	}
+	b, c := base.Node, cur.Node
+	tol := int(GateTolerance * 100)
+	if ceil := b.NsPerSimSecond * (1 + GateTolerance); c.NsPerSimSecond > ceil {
 		bad = append(bad, fmt.Sprintf(
-			"engine.allocsPerOp regressed: %.3g > %.3g (baseline %.3g + %d%% + 0.5)",
-			cur.Engine.AllocsPerOp, ceil, base.Engine.AllocsPerOp, int(GateTolerance*100)))
+			"node.nsPerSimSecond regressed: %.3g > %.3g (baseline %.3g + %d%%)",
+			c.NsPerSimSecond, ceil, b.NsPerSimSecond, tol))
+	}
+	if ceil := b.AllocsPerOp*(1+GateTolerance) + 0.5; c.AllocsPerOp > ceil {
+		bad = append(bad, fmt.Sprintf(
+			"node.allocsPerOp regressed: %.3g > %.3g (baseline %.3g + %d%% + 0.5)",
+			c.AllocsPerOp, ceil, b.AllocsPerOp, tol))
+	}
+	if floor := b.SpeedupVsRef * (1 - GateTolerance); c.SpeedupVsRef < floor {
+		bad = append(bad, fmt.Sprintf(
+			"node.speedupVsRef regressed: %.3g < %.3g (baseline %.3g - %d%%)",
+			c.SpeedupVsRef, floor, b.SpeedupVsRef, tol))
 	}
 	return bad
 }
@@ -331,8 +359,8 @@ func (s *Snapshot) Save(path string) error {
 }
 
 // Markdown renders the snapshot as the README results table: one row per
-// headline metric, with the heap-scheduler baseline alongside the engine
-// row so the speedup is self-contained. The output is deterministic for a
+// headline metric, with each in-process baseline alongside its row so the
+// speedup is self-contained. The output is deterministic for a
 // given snapshot, so regenerating the table is a pure function of the
 // committed BENCH file.
 func (s *Snapshot) Markdown() string {
@@ -343,10 +371,12 @@ func (s *Snapshot) Markdown() string {
 	}
 	fmt.Fprintf(&b, "| Suite | Metric | Value | Baseline |\n")
 	fmt.Fprintf(&b, "|---|---|---|---|\n")
-	fmt.Fprintf(&b, "| engine | event dispatch | %.2f ns/op (%.1fM events/s) | heap scheduler %.2f ns/op — **%.2fx** |\n",
-		s.Engine.NsPerEvent, s.Engine.EventsPerSec/1e6, s.Engine.HeapNsPerEvent, s.Engine.SpeedupVsHeap)
-	fmt.Fprintf(&b, "| engine | allocations | %.0f allocs/op, %.0f B/op | heap scheduler %.0f allocs/op |\n",
-		s.Engine.AllocsPerOp, s.Engine.BytesPerOp, s.Engine.HeapAllocsPerOp)
+	if e := s.Engine; e != nil {
+		fmt.Fprintf(&b, "| engine | event dispatch | %.2f ns/op (%.1fM events/s) | heap scheduler %.2f ns/op — **%.2fx** |\n",
+			e.NsPerEvent, e.EventsPerSec/1e6, e.HeapNsPerEvent, e.SpeedupVsHeap)
+		fmt.Fprintf(&b, "| engine | allocations | %.0f allocs/op, %.0f B/op | heap scheduler %.0f allocs/op |\n",
+			e.AllocsPerOp, e.BytesPerOp, e.HeapAllocsPerOp)
+	}
 	if n := s.Node; n != nil {
 		fmt.Fprintf(&b, "| node | burst loop (%.0f sim-s/op) | %.2fM sim-s/s, %.0f allocs/op | per-burst reference — **%.2fx** |\n",
 			n.SimSecondsPerOp, n.SimSecPerWallSec/1e6, n.AllocsPerOp, n.SpeedupVsRef)

@@ -8,8 +8,9 @@ import (
 	"testing"
 )
 
-// valid returns a snapshot that passes Validate; tests mutate one field at
-// a time to probe the strictness.
+// valid returns a current-shape snapshot (node suite, no engine suite)
+// that passes Validate; tests mutate one field at a time to probe the
+// strictness.
 func valid() *Snapshot {
 	return &Snapshot{
 		SchemaVersion: SchemaVersion,
@@ -18,10 +19,6 @@ func valid() *Snapshot {
 		GoVersion:     "go1.24.0",
 		GOOS:          "linux",
 		GOARCH:        "amd64",
-		Engine: EngineSuite{
-			NsPerEvent: 15.5, EventsPerSec: 64.5e6, BytesPerOp: 0, AllocsPerOp: 0,
-			HeapNsPerEvent: 54.3, HeapAllocsPerOp: 1, SpeedupVsHeap: 3.5,
-		},
 		Cluster: ClusterSuite{
 			Nodes: 64, Jobs: 128, Policy: "LL",
 			MeanCompletionS: 2500, P95CompletionS: 4100,
@@ -33,6 +30,7 @@ func valid() *Snapshot {
 			Warm:         ServePhase{ReqPerSec: 8000, MeanLatencyS: 0.0004, P95LatencyS: 0.001, Digest: "sha256:ab"},
 			DigestsMatch: true,
 		},
+		Node: validNode(),
 	}
 }
 
@@ -45,16 +43,30 @@ func validNode() *NodeSuite {
 	}
 }
 
+// legacyEngine returns a plausible engine-suite block, as recorded by
+// BENCH_001 through BENCH_007.
+func legacyEngine() *EngineSuite {
+	return &EngineSuite{
+		NsPerEvent: 15.5, EventsPerSec: 64.5e6, BytesPerOp: 0, AllocsPerOp: 0,
+		HeapNsPerEvent: 54.3, HeapAllocsPerOp: 1, SpeedupVsHeap: 3.5,
+	}
+}
+
 func TestValidateAcceptsGood(t *testing.T) {
-	// Without the optional node suite (pre-BENCH_007 snapshots)...
+	// The current shape: node suite, no engine suite...
 	if err := valid().Validate(); err != nil {
 		t.Fatalf("valid snapshot rejected: %v", err)
 	}
-	// ...and with it.
+	// ...the pre-BENCH_007 shape: engine suite, no node suite...
 	s := valid()
+	s.Engine, s.Node = legacyEngine(), nil
+	if err := s.Validate(); err != nil {
+		t.Fatalf("valid engine-only snapshot rejected: %v", err)
+	}
+	// ...and BENCH_007's: both.
 	s.Node = validNode()
 	if err := s.Validate(); err != nil {
-		t.Fatalf("valid snapshot with node suite rejected: %v", err)
+		t.Fatalf("valid snapshot with both suites rejected: %v", err)
 	}
 }
 
@@ -71,7 +83,6 @@ func TestValidateRejectsBadNodeSuite(t *testing.T) {
 	}
 	for _, c := range cases {
 		s := valid()
-		s.Node = validNode()
 		c.mut(s.Node)
 		if err := s.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted a bad node suite", c.name)
@@ -90,6 +101,7 @@ func TestValidateRejectsBad(t *testing.T) {
 		{"zero events/s", func(s *Snapshot) { s.Engine.EventsPerSec = 0 }},
 		{"negative allocs", func(s *Snapshot) { s.Engine.AllocsPerOp = -1 }},
 		{"zero heap baseline", func(s *Snapshot) { s.Engine.HeapNsPerEvent = 0 }},
+		{"zero heap speedup", func(s *Snapshot) { s.Engine.SpeedupVsHeap = 0 }},
 		{"zero nodes", func(s *Snapshot) { s.Cluster.Nodes = 0 }},
 		{"no policy", func(s *Snapshot) { s.Cluster.Policy = "" }},
 		{"zero cluster wall", func(s *Snapshot) { s.Cluster.WallSeconds = 0 }},
@@ -100,7 +112,9 @@ func TestValidateRejectsBad(t *testing.T) {
 		{"digests not checked", func(s *Snapshot) { s.Serve.DigestsMatch = false }},
 	}
 	for _, c := range cases {
+		// The engine suite is optional but, when present, still validated.
 		s := valid()
+		s.Engine = legacyEngine()
 		c.mut(s)
 		if err := s.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted a bad snapshot", c.name)
@@ -115,31 +129,86 @@ func TestCompareGate(t *testing.T) {
 		t.Fatalf("identical snapshots flagged: %v", bad)
 	}
 
-	// 10% slower: within tolerance.
+	// A legacy engine suite on either side is not gated.
 	cur := valid()
-	cur.Engine.EventsPerSec = base.Engine.EventsPerSec * 0.90
+	cur.Engine = legacyEngine()
+	cur.Engine.EventsPerSec = 1
+	if bad := Compare(base, cur); len(bad) != 0 {
+		t.Fatalf("engine suite gated: %v", bad)
+	}
+
+	// 10% slower: within tolerance.
+	cur = valid()
+	cur.Node.NsPerSimSecond = base.Node.NsPerSimSecond * 1.10
 	if bad := Compare(base, cur); len(bad) != 0 {
 		t.Fatalf("10%% slowdown flagged: %v", bad)
 	}
 
 	// 20% slower: gated.
 	cur = valid()
-	cur.Engine.EventsPerSec = base.Engine.EventsPerSec * 0.80
-	if bad := Compare(base, cur); len(bad) != 1 || !strings.Contains(bad[0], "eventsPerSec") {
+	cur.Node.NsPerSimSecond = base.Node.NsPerSimSecond * 1.20
+	if bad := Compare(base, cur); len(bad) != 1 || !strings.Contains(bad[0], "nsPerSimSecond") {
 		t.Fatalf("20%% slowdown not flagged correctly: %v", bad)
 	}
 
-	// Zero-alloc baseline: going to 2 allocs/op is a regression, but
-	// measurement jitter below half an alloc is not.
+	// allocs/op may grow by 15% plus half an alloc: from 2, 2.7 passes and
+	// 3 fails.
 	cur = valid()
-	cur.Engine.AllocsPerOp = 2
-	if bad := Compare(base, cur); len(bad) != 1 || !strings.Contains(bad[0], "allocsPerOp") {
-		t.Fatalf("0 -> 2 allocs/op not flagged correctly: %v", bad)
+	cur.Node.AllocsPerOp = 2.7
+	if bad := Compare(base, cur); len(bad) != 0 {
+		t.Fatalf("allocs/op within tolerance flagged: %v", bad)
 	}
 	cur = valid()
-	cur.Engine.AllocsPerOp = 0.3
-	if bad := Compare(base, cur); len(bad) != 0 {
+	cur.Node.AllocsPerOp = 3
+	if bad := Compare(base, cur); len(bad) != 1 || !strings.Contains(bad[0], "allocsPerOp") {
+		t.Fatalf("2 -> 3 allocs/op not flagged correctly: %v", bad)
+	}
+
+	// Zero-alloc baseline: measurement jitter below half an alloc is not a
+	// regression.
+	base0, cur := valid(), valid()
+	base0.Node.AllocsPerOp = 0
+	cur.Node.AllocsPerOp = 0.3
+	if bad := Compare(base0, cur); len(bad) != 0 {
 		t.Fatalf("sub-half-alloc jitter flagged: %v", bad)
+	}
+
+	// The same-process ratio: a 10% drop in speedup over the reference
+	// passes, a 20% drop fails, even when the absolute time holds.
+	cur = valid()
+	cur.Node.SpeedupVsRef = base.Node.SpeedupVsRef * 0.90
+	if bad := Compare(base, cur); len(bad) != 0 {
+		t.Fatalf("10%% speedup drop flagged: %v", bad)
+	}
+	cur = valid()
+	cur.Node.SpeedupVsRef = base.Node.SpeedupVsRef * 0.80
+	if bad := Compare(base, cur); len(bad) != 1 || !strings.Contains(bad[0], "speedupVsRef") {
+		t.Fatalf("20%% speedup drop not flagged correctly: %v", bad)
+	}
+
+	// A slower machine fails the absolute floor but not the ratio.
+	cur = valid()
+	cur.Node.NsPerSimSecond *= 1.6
+	cur.Node.RefNsPerSimSec *= 1.6
+	if bad := Compare(base, cur); len(bad) != 1 || !strings.Contains(bad[0], "nsPerSimSecond") {
+		t.Fatalf("uniformly slower machine not flagged on the floor alone: %v", bad)
+	}
+
+	// No node suite on either side is a violation, never a vacuous pass.
+	noNode := valid()
+	noNode.Engine, noNode.Node = legacyEngine(), nil
+	for _, c := range []struct {
+		name      string
+		base, cur *Snapshot
+		want      int
+	}{
+		{"baseline", noNode, valid(), 1},
+		{"current", valid(), noNode, 1},
+		{"both", noNode, noNode, 2},
+	} {
+		if bad := Compare(c.base, c.cur); len(bad) != c.want || !strings.Contains(bad[0], "no node suite") {
+			t.Errorf("%s without node suite: got %v, want %d violation(s)", c.name, bad, c.want)
+		}
 	}
 }
 
@@ -207,7 +276,7 @@ func TestLoadRejectsUnknownFieldsAndInvalid(t *testing.T) {
 
 	// Structurally valid JSON that fails Validate.
 	bad := valid()
-	bad.Engine.EventsPerSec = 0
+	bad.Node.SpeedupVsRef = 0
 	if err := bad.Save(p); err == nil {
 		t.Fatal("Save accepted an invalid snapshot")
 	}
@@ -215,9 +284,47 @@ func TestLoadRejectsUnknownFieldsAndInvalid(t *testing.T) {
 
 func TestMarkdownMentionsHeadlines(t *testing.T) {
 	md := valid().Markdown()
-	for _, want := range []string{"3.50x", "BENCH_006.json", "64 nodes x 128 jobs", "req/s"} {
+	for _, want := range []string{"3.20x", "BENCH_006.json", "64 nodes x 128 jobs", "req/s"} {
 		if !strings.Contains(md, want) {
 			t.Errorf("Markdown missing %q:\n%s", want, md)
 		}
+	}
+	if strings.Contains(md, "| engine |") {
+		t.Errorf("Markdown renders an engine row without an engine suite:\n%s", md)
+	}
+	s := valid()
+	s.Engine = legacyEngine()
+	if md := s.Markdown(); !strings.Contains(md, "3.50x") {
+		t.Errorf("Markdown omits a recorded engine suite:\n%s", md)
+	}
+}
+
+// The committed trajectory must keep loading under the current schema,
+// and the README results table must stay exactly what -table renders
+// from the latest snapshot.
+func TestCommittedSnapshotsLoadAndRenderREADME(t *testing.T) {
+	for _, name := range []string{"BENCH_006.json", "BENCH_007.json"} {
+		if _, err := Load(filepath.Join("..", "..", name)); err != nil {
+			t.Fatalf("committed %s no longer loads: %v", name, err)
+		}
+	}
+	s, err := Load(filepath.Join("..", "..", "BENCH_007.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(readme)
+	const last = "Snapshot `BENCH_007.json`"
+	start := strings.Index(text, "| Suite | Metric |")
+	end := strings.Index(text, last)
+	if start < 0 || end < start {
+		t.Fatal("README.md has no BENCH_007 results table")
+	}
+	end += strings.IndexByte(text[end:], '\n') + 1
+	if got, want := s.Markdown(), text[start:end]; got != want {
+		t.Errorf("README results block differs from BENCH_007 -table output:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"lingerlonger/internal/obs"
-	"lingerlonger/internal/sim"
 	"lingerlonger/internal/stats"
 	"lingerlonger/internal/trace"
 )
@@ -42,10 +41,23 @@ type ArrivalsResult struct {
 	Migrations  int
 }
 
+// ArrivalBudgetError reports that RunArrivals admitted its arrival budget
+// (a few multiples of Rate*Duration) and was about to admit another: the
+// signature of a runaway arrival loop, not of a plausible Poisson draw.
+type ArrivalBudgetError struct {
+	Budget int     // the arrival budget
+	At     float64 // instant of the arrival that would exceed it
+}
+
+// Error returns the budget, the instant it ran out at, and the likely cause.
+func (e *ArrivalBudgetError) Error() string {
+	return fmt.Sprintf("cluster: arrival budget of %d exhausted at t=%g (runaway arrival loop?)", e.Budget, e.At)
+}
+
 // RunArrivals simulates an open system: jobs of Cluster.JobCPU seconds
 // arrive by a Poisson process with the given rate for Duration seconds,
-// then the cluster drains. Arrival instants are produced by a
-// discrete-event engine layered over the trace-window stepper.
+// then the cluster drains. Arrivals are admitted at each trace-window
+// boundary of the cluster stepper.
 func RunArrivals(cfg ArrivalsConfig, corpus []*trace.Trace) (*ArrivalsResult, error) {
 	if cfg.Rate <= 0 {
 		return nil, fmt.Errorf("cluster: arrival rate must be positive, got %g", cfg.Rate)
@@ -60,42 +72,33 @@ func RunArrivals(cfg ArrivalsConfig, corpus []*trace.Trace) (*ArrivalsResult, er
 		return nil, err
 	}
 
-	// The arrival process lives on a discrete-event engine; each event
-	// enqueues one job and schedules its successor until the window ends.
-	// The expected event count is Rate*Duration arrivals, so a budget a few
-	// multiples above that turns a rescheduling bug into a typed error
-	// instead of an infinite loop.
-	var engine sim.Engine
-	engine.SetEventBudget(uint64(cfg.Rate*cfg.Duration*4) + 10000)
-	engine.SetRecorder(ccfg.Rec)
+	// The arrival process keeps one pending instant: each arrival draws
+	// its successor until the window ends. The expected arrival count is
+	// Rate*Duration, so a budget a few multiples above that turns a
+	// rescheduling bug into a typed error instead of an infinite loop.
+	budget := int(cfg.Rate*cfg.Duration*4) + 10000
+	arrivalsC := ccfg.Rec.Counter(obs.SimEventsFired)
 	arrivalRNG := stats.NewRNG(ccfg.Seed ^ 0x5ca1ab1e)
+	next := arrivalRNG.ExpFloat64() / cfg.Rate
 	arrived := 0
-	var schedule func(at float64)
-	schedule = func(at float64) {
-		if at > cfg.Duration {
-			return
-		}
-		engine.Schedule(at, func(e *sim.Engine) {
+	for s.now < ccfg.MaxTime {
+		// Admit the arrivals up to the current boundary (so a job is never
+		// placed before its arrival instant), then advance the cluster
+		// across the window.
+		for next <= cfg.Duration && next <= s.now {
+			if arrived >= budget {
+				return nil, &ArrivalBudgetError{Budget: budget, At: next}
+			}
 			arrived++
-			j := newJob(s.nextJobID, ccfg.JobCPU, ccfg.JobMB, e.Now())
+			arrivalsC.Inc()
+			j := newJob(s.nextJobID, ccfg.JobCPU, ccfg.JobMB, next)
 			s.nextJobID++
 			s.jobs = append(s.jobs, j)
 			s.queue = append(s.queue, j)
-			schedule(e.Now() + arrivalRNG.ExpFloat64()/cfg.Rate)
-		})
-	}
-	schedule(arrivalRNG.ExpFloat64() / cfg.Rate)
-
-	for s.now < ccfg.MaxTime {
-		// Fire the arrivals up to the current boundary (so a job is never
-		// placed before its arrival instant), then advance the cluster
-		// across the window.
-		engine.RunUntil(s.now)
-		if err := engine.Err(); err != nil {
-			return nil, fmt.Errorf("cluster: arrival process: %w", err)
+			next += arrivalRNG.ExpFloat64() / cfg.Rate
 		}
 		s.stepOnce()
-		if engine.Pending() == 0 && s.completed >= len(s.jobs) {
+		if next > cfg.Duration && s.completed >= len(s.jobs) {
 			break
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"lingerlonger/internal/core"
+	"lingerlonger/internal/obs"
 )
 
 func arrivalsConfig(p core.Policy, rate float64) ArrivalsConfig {
@@ -127,5 +128,45 @@ func TestRunArrivalsNoTimeTravel(t *testing.T) {
 	}
 	if res.MeanQueued < 0 {
 		t.Errorf("negative mean queue time %g", res.MeanQueued)
+	}
+}
+
+// The open-system run is pinned value for value: a change to the arrival
+// loop that keeps it deterministic but moves an arrival instant, reorders
+// an RNG draw or drops an arrival shows up here, where
+// TestRunArrivalsDeterministic (run vs run) would still pass.
+func TestRunArrivalsGolden(t *testing.T) {
+	corpus := testCorpus(t, 4, 1, 20)
+	cases := []struct {
+		policy core.Policy
+		want   ArrivalsResult
+	}{
+		{core.LingerLonger, ArrivalsResult{
+			Arrived: 54, Completed: 54, Incomplete: 0,
+			MeanResponse: 122.61551331284116, P95Response: 123.33444337826705,
+			MeanQueued: 1.2190273688884121, OfferedLoad: 0.375,
+			LocalDelay: 0.0010436992416886694, Migrations: 0,
+		}},
+		{core.ImmediateEviction, ArrivalsResult{
+			Arrived: 54, Completed: 54, Incomplete: 0,
+			MeanResponse: 122.89852370010615, P95Response: 123.2830510438486,
+			MeanQueued: 1.2190273688884121, OfferedLoad: 0.375,
+			LocalDelay: 0.0009660664403845686, Migrations: 1,
+		}},
+	}
+	for _, c := range cases {
+		cfg := arrivalsConfig(c.policy, 0.05)
+		reg := obs.NewRegistry()
+		cfg.Cluster.Rec = obs.New(reg, nil)
+		res, err := RunArrivals(cfg, corpus)
+		if err != nil {
+			t.Fatalf("%v: %v", c.policy, err)
+		}
+		if *res != c.want {
+			t.Errorf("%v:\n got %#v\nwant %#v", c.policy, *res, c.want)
+		}
+		if got := reg.Counter(obs.SimEventsFired).Value(); got != int64(c.want.Arrived) {
+			t.Errorf("%v: %s = %d, want one per arrival (%d)", c.policy, obs.SimEventsFired, got, c.want.Arrived)
+		}
 	}
 }

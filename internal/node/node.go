@@ -194,10 +194,10 @@ func burstDone(now, end float64) bool {
 // the completion instant when the demand is met early.
 //
 // This is the hot path of every figure (a full experiments run crosses
-// ~9.5 million preemptions here, against ~1k engine events). Relative to
-// the RefNode reference loop it is coarsened two ways, neither of which
-// changes a single draw or a single float operation on the accounted
-// values:
+// ~9.5 million preemptions here, against ~1k open-system arrivals).
+// Relative to the RefNode reference loop it is coarsened two ways,
+// neither of which changes a single draw or a single float operation on
+// the accounted values:
 //
 //   - all accumulators live in locals for the duration of the call and are
 //     written back once, including the preemption counter (one Add instead

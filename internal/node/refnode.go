@@ -10,11 +10,11 @@ import (
 
 // RefNode is the retained reference implementation of the fine-grain
 // strict-priority node model: the pre-rewrite Node kept verbatim as the
-// executable specification, the same pattern as sim.HeapEngine for the
-// event engine. Node's batched hot path must produce bit-identical
-// Now/LDR/FCSR/ForeignCPU/Preemptions values to RefNode for every
-// interleaving of Advance, ServeForeign and ResetMetrics; the seeded
-// differential suite in differential_test.go enforces exactly that.
+// executable specification. Node's batched hot path must produce
+// bit-identical Now/LDR/FCSR/ForeignCPU/Preemptions values to RefNode
+// for every interleaving of Advance, ServeForeign and ResetMetrics; the
+// seeded differential suite in differential_test.go enforces exactly
+// that.
 //
 // The only change from the historical Node is shared with the fast path:
 // the burst-end comparison goes through burstDone, whose tolerance scales

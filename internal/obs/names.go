@@ -20,7 +20,9 @@ type Def struct {
 // Metric base names. Labeled variants (e.g. "cluster.migrations{policy=LL}")
 // share the base name's catalog entry.
 const (
-	// Discrete-event engine (internal/sim).
+	// Simulation runs (internal/cluster). The sim. prefix predates the
+	// removal of the discrete-event engine; the names stay so existing
+	// metrics dumps and readers keep working.
 	SimEventsFired = "sim.events.fired" // counter
 	SimRunSeconds  = "sim.run_seconds"  // histogram
 
@@ -111,7 +113,7 @@ const (
 // those two checks make "every metric emitted by the code is documented"
 // a build-time property rather than a review convention.
 var Catalog = []Def{
-	{SimEventsFired, KindCounter, "events dispatched by the discrete-event engine (Engine.Step firings)"},
+	{SimEventsFired, KindCounter, "Poisson arrivals fired by the open-system extension"},
 	{SimRunSeconds, KindHistogram, "final simulated time of each simulation run, seconds of sim time"},
 	{NodePreemptions, KindCounter, "foreign-job preemptions by a returning local burst (context-switch charges, §3)"},
 	{ClusterCompletions, KindCounter, "foreign jobs completed, per policy"},
