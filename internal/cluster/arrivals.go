@@ -55,9 +55,9 @@ func (e *ArrivalBudgetError) Error() string {
 }
 
 // RunArrivals simulates an open system: jobs of Cluster.JobCPU seconds
-// arrive by a Poisson process with the given rate for Duration seconds,
-// then the cluster drains. Arrivals are admitted at each trace-window
-// boundary of the cluster stepper.
+// (or sized by Cluster.JobSizes) arrive by a Poisson process with the
+// given rate for Duration seconds, then the cluster drains. Arrivals are
+// admitted at each trace-window boundary of the cluster stepper.
 func RunArrivals(cfg ArrivalsConfig, corpus []*trace.Trace) (*ArrivalsResult, error) {
 	if cfg.Rate <= 0 {
 		return nil, fmt.Errorf("cluster: arrival rate must be positive, got %g", cfg.Rate)
@@ -91,10 +91,7 @@ func RunArrivals(cfg ArrivalsConfig, corpus []*trace.Trace) (*ArrivalsResult, er
 			}
 			arrived++
 			arrivalsC.Inc()
-			j := newJob(s.nextJobID, ccfg.JobCPU, ccfg.JobMB, next)
-			s.nextJobID++
-			s.jobs = append(s.jobs, j)
-			s.queue = append(s.queue, j)
+			s.spawnJob(next)
 			next += arrivalRNG.ExpFloat64() / cfg.Rate
 		}
 		s.stepOnce()

@@ -5,6 +5,7 @@ import (
 
 	"lingerlonger/internal/core"
 	"lingerlonger/internal/obs"
+	"lingerlonger/internal/stats"
 )
 
 func arrivalsConfig(p core.Policy, rate float64) ArrivalsConfig {
@@ -168,5 +169,31 @@ func TestRunArrivalsGolden(t *testing.T) {
 		if got := reg.Counter(obs.SimEventsFired).Value(); got != int64(c.want.Arrived) {
 			t.Errorf("%v: %s = %d, want one per arrival (%d)", c.policy, obs.SimEventsFired, got, c.want.Arrived)
 		}
+	}
+}
+
+// Arrivals draw their CPU demand from Cluster.JobSizes when it is set, as
+// the batch runs do: with every draw in [300, 400] s against a JobCPU of
+// 120 s, no job can complete in under 300 s.
+func TestRunArrivalsHonoursJobSizes(t *testing.T) {
+	corpus := testCorpus(t, 4, 1, 20)
+	cfg := arrivalsConfig(core.LingerLonger, 0.02)
+	fixed, err := RunArrivals(cfg, corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Cluster.JobSizes = stats.Uniform{Lo: 300, Hi: 400}
+	sized, err := RunArrivals(cfg, corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sized.Completed == 0 || sized.Incomplete != 0 {
+		t.Fatalf("sized run completed %d, left %d incomplete", sized.Completed, sized.Incomplete)
+	}
+	if fixed.MeanResponse > 200 {
+		t.Errorf("fixed-size mean response %g, want near the 120 s JobCPU", fixed.MeanResponse)
+	}
+	if sized.MeanResponse < 300 {
+		t.Errorf("sized mean response %g below the smallest drawn demand: JobSizes ignored", sized.MeanResponse)
 	}
 }

@@ -201,7 +201,6 @@ func (n *simNode) episodeUtil() float64 {
 
 type simulation struct {
 	cfg       Config
-	decider   core.Decider
 	predictor predict.Predictor
 	rng       *stats.RNG
 
@@ -289,7 +288,6 @@ func newSimulation(cfg Config, corpus []*trace.Trace) (*simulation, error) {
 	policy := cfg.Policy.String()
 	s := &simulation{
 		cfg:       cfg,
-		decider:   core.Decider{Cost: cfg.Migration},
 		predictor: predictor,
 		nodes:     make([]simNode, cfg.Nodes),
 		winUtil:   make([]float64, cfg.Nodes),
@@ -319,7 +317,7 @@ func newSimulation(cfg Config, corpus []*trace.Trace) (*simulation, error) {
 		s.sizeRNG = stats.NewRNG(cfg.Seed ^ 0x70b5a12e)
 	}
 	for i := 0; i < int(cfg.NumJobs); i++ {
-		s.spawnJob()
+		s.spawnJob(0)
 	}
 	return s, nil
 }
@@ -337,12 +335,12 @@ func (s *simulation) jobDemand() float64 {
 	return d
 }
 
-func (s *simulation) spawnJob() *Job {
-	j := newJob(s.nextJobID, s.jobDemand(), s.cfg.JobMB, s.now)
+// spawnJob submits a new job to the queue at instant at.
+func (s *simulation) spawnJob(at float64) {
+	j := newJob(s.nextJobID, s.jobDemand(), s.cfg.JobMB, at)
 	s.nextJobID++
 	s.jobs = append(s.jobs, j)
 	s.queue = append(s.queue, j)
-	return j
 }
 
 // refreshWindow recomputes the struct-of-arrays snapshot at the current
@@ -441,12 +439,11 @@ func (s *simulation) attach(j *Job, nd *simNode, at float64) {
 }
 
 // detach removes job j from its node.
-func (s *simulation) detach(j *Job) *simNode {
+func (s *simulation) detach(j *Job) {
 	nd := j.node
 	nd.job = nil
 	nd.inEpisode = false
 	j.node = nil
-	return nd
 }
 
 // startMigration moves j from its node toward dest.
@@ -461,120 +458,82 @@ func (s *simulation) startMigration(j *Job, dest *simNode) {
 	s.emit("migrate", dest, j)
 }
 
-// requeue puts j back on the scheduler queue.
-func (s *simulation) requeue(j *Job) {
-	if j.node != nil {
-		s.detach(j)
-	}
-	j.setState(Queued, s.now)
-	s.queue = append(s.queue, j)
-}
-
-// boundaryActions applies policy decisions for every occupied node at the
-// current window boundary.
+// boundaryActions steps every hosted job through the core policy step at
+// the current window boundary.
 func (s *simulation) boundaryActions() {
 	for i := range s.nodes {
 		nd := &s.nodes[i]
 		j := nd.job
-		if j == nil {
+		idle := s.winIdle[i]
+		if j == nil || j.state == Running && idle {
 			continue
 		}
-		idle := s.winIdle[i]
-		switch j.state {
-		case Running:
-			if idle {
-				continue
-			}
+		if j.state == Running {
 			// The owner came back: a non-idle episode begins.
 			nd.inEpisode = true
 			nd.episodeStart = s.now
-			nd.episodeUtilSum = s.winUtil[i]
-			nd.episodeWindows = 1
-			s.ownerReturned(j, nd)
-		case Lingering:
-			if idle {
-				// Episode over; back to full-speed running. Completed
-				// episode lengths train learning predictors.
-				s.predictor.Record(s.now - nd.episodeStart)
-				nd.inEpisode = false
-				j.setState(Running, s.now)
-				continue
-			}
+			nd.episodeUtilSum = 0
+			nd.episodeWindows = 0
+		}
+		if !idle && j.state != Paused {
 			nd.episodeUtilSum += s.winUtil[i]
 			nd.episodeWindows++
-			s.lingerDecision(j, nd)
-		case Paused:
-			if idle {
-				j.setState(Running, s.now)
-				nd.inEpisode = false
-				continue
-			}
-			if s.now >= j.pauseEnd {
-				if dest := s.findDest(j, false, nd); dest != nil {
-					s.startMigration(j, dest)
-				} else {
-					s.evictions++
-					s.cEvict.Inc()
-					s.emit("evict", nd, j)
-					s.requeue(j)
-				}
-			}
 		}
+		s.step(j, nd, idle)
 	}
 }
 
-// ownerReturned handles the transition of a Running job's node to
-// non-idle, per policy.
-func (s *simulation) ownerReturned(j *Job, nd *simNode) {
-	switch s.cfg.Policy {
-	case core.ImmediateEviction:
-		if dest := s.findDest(j, false, nd); dest != nil {
-			s.startMigration(j, dest)
-		} else {
-			s.evictions++
-			s.cEvict.Inc()
-			s.emit("evict", nd, j)
-			s.requeue(j)
+// phaseOf maps the hosted job states onto the policy step's phases.
+var phaseOf = [numStates]core.Phase{Lingering: core.PhaseLingering, Paused: core.PhasePaused}
+
+// step runs core.Step for j on nd and carries out its action. The
+// destination search and the predictor run only when the step reads them:
+// under PlaceRandom every search draws from s.rng, so where searches
+// happen is part of the simulation's output.
+func (s *simulation) step(j *Job, nd *simNode, idle bool) {
+	sit := core.Situation{
+		Policy:           s.cfg.Policy,
+		Phase:            phaseOf[j.state],
+		OwnerIdle:        idle,
+		PauseExpired:     s.now >= j.pauseEnd,
+		LingerMultiplier: s.cfg.LingerMultiplier,
+	}
+	var dest *simNode
+	if sit.NeedsDest() {
+		dest = s.findDest(j, false, nd) // migration targets idle nodes only
+		if dest != nil {
+			sit.HasDest = true
+			sit.H = nd.episodeUtil()
+			sit.L = s.winUtil[dest.id]
+			sit.Remaining = s.predictor.PredictRemaining(s.now - nd.episodeStart)
+			sit.Tmigr = s.cfg.Migration.Time(j.SizeMB)
 		}
-	case core.PauseAndMigrate:
-		j.setState(Paused, s.now)
-		j.pauseEnd = s.now + s.cfg.PauseTime
-	case core.LingerLonger, core.LingerForever, core.FractionalShare:
+	}
+	switch core.Step(sit) {
+	case core.Linger:
 		j.setState(Lingering, s.now)
 		s.cLinger.Inc()
 		s.emit("linger", nd, j)
-		s.lingerDecision(j, nd)
-	}
-}
-
-// lingerDecision applies the LL cost model (LF never migrates).
-func (s *simulation) lingerDecision(j *Job, nd *simNode) {
-	if s.cfg.Policy != core.LingerLonger {
-		return
-	}
-	dest := s.findDest(j, false, nd) // migration targets idle nodes only
-	if dest == nil {
-		return
-	}
-	age := s.now - nd.episodeStart
-	h := nd.episodeUtil()
-	l := s.winUtil[dest.id]
-	if h > 1 {
-		h = 1
-	}
-	if l > 1 {
-		l = 1
-	}
-	mult := s.cfg.LingerMultiplier
-	if mult == 0 {
-		mult = 1
-	}
-	// Migrate once the predicted episode remainder exceeds the break-even
-	// transfer horizon ((1-l)/(h-l))*Tmigr. With the paper's 2x-age
-	// predictor (remaining = age) this reduces to age >= Tlingr.
-	remaining := s.predictor.PredictRemaining(age)
-	if remaining >= mult*s.decider.LingerDeadline(h, l, j.SizeMB) {
+		s.step(j, nd, idle)
+	case core.Pause:
+		j.setState(Paused, s.now)
+		j.pauseEnd = s.now + s.cfg.PauseTime
+	case core.Resume:
+		if j.state == Lingering {
+			// Completed episode lengths train learning predictors.
+			s.predictor.Record(s.now - nd.episodeStart)
+		}
+		nd.inEpisode = false
+		j.setState(Running, s.now)
+	case core.Migrate:
 		s.startMigration(j, dest)
+	case core.Evict:
+		s.evictions++
+		s.cEvict.Inc()
+		s.emit("evict", nd, j)
+		s.detach(j)
+		j.setState(Queued, s.now)
+		s.queue = append(s.queue, j)
 	}
 }
 
@@ -702,10 +661,7 @@ func (s *simulation) completeJob(j *Job, nd *simNode, done float64) {
 	s.cComp.Inc()
 	s.emit("complete", nd, j)
 	if s.replace {
-		nj := newJob(s.nextJobID, s.jobDemand(), s.cfg.JobMB, done)
-		s.nextJobID++
-		s.jobs = append(s.jobs, nj)
-		s.queue = append(s.queue, nj)
+		s.spawnJob(done)
 	}
 }
 

@@ -185,44 +185,6 @@ func TestLingerDurationBreakEvenQuick(t *testing.T) {
 	}
 }
 
-func TestDeciderShouldMigrate(t *testing.T) {
-	d := Decider{Cost: DefaultMigrationCost()}
-	tmigr := d.Cost.Time(8)
-	tl := LingerDuration(0.2, 0, tmigr)
-
-	if d.ShouldMigrate(LingerForever, 1e9, 0.9, 0, 8) {
-		t.Error("LF migrated")
-	}
-	if !d.ShouldMigrate(ImmediateEviction, 0, 0.2, 0, 8) {
-		t.Error("IE did not migrate immediately")
-	}
-	if !d.ShouldMigrate(PauseAndMigrate, 0, 0.2, 0, 8) {
-		t.Error("PM (post-pause) did not migrate")
-	}
-	if d.ShouldMigrate(LingerLonger, tl*0.5, 0.2, 0, 8) {
-		t.Error("LL migrated before the linger duration")
-	}
-	if !d.ShouldMigrate(LingerLonger, tl*1.01, 0.2, 0, 8) {
-		t.Error("LL did not migrate after the linger duration")
-	}
-	// Destination no better: LL stays forever.
-	if d.ShouldMigrate(LingerLonger, 1e12, 0.2, 0.5, 8) {
-		t.Error("LL migrated to a busier node")
-	}
-	if got := d.LingerDeadline(0.2, 0, 8); math.Abs(got-tl) > 1e-9 {
-		t.Errorf("LingerDeadline = %g, want %g", got, tl)
-	}
-}
-
-func TestDeciderUnknownPolicyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown policy did not panic")
-		}
-	}()
-	Decider{}.ShouldMigrate(Policy(42), 0, 0.5, 0, 8)
-}
-
 func TestHealthPolicyValidate(t *testing.T) {
 	if err := DefaultHealthPolicy().Validate(); err != nil {
 		t.Errorf("default policy invalid: %v", err)

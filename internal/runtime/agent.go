@@ -335,13 +335,24 @@ func (a *Agent) dispatch(req request) response {
 			resp.Err = "runtime: work request without a point spec"
 			break
 		}
-		data, err := a.executor(*req.Work)
+		data, err := a.work(*req.Work)
 		resp.Data = data
 		resp.Err = errString(err)
 	default:
 		resp.Err = fmt.Sprintf("runtime: unknown request kind %d", req.Kind)
 	}
 	return resp
+}
+
+// work runs the executor on one point and returns a panic as the point's
+// error, so one bad point cannot take the agent process down.
+func (a *Agent) work(spec exp.PointSpec) (data []byte, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("runtime: agent %s: executor panicked on point %d of %q: %v", a.name, spec.Index, spec.Sweep, p)
+		}
+	}()
+	return a.executor(spec)
 }
 
 // DrainCompleted returns and clears the jobs finished since the last call.

@@ -6,7 +6,6 @@ import (
 
 	"lingerlonger/internal/core"
 	"lingerlonger/internal/obs"
-	"lingerlonger/internal/predict"
 )
 
 // AgentClient is the coordinator's handle to one workstation agent. The
@@ -57,10 +56,9 @@ func (c LocalClient) Close() error { return nil }
 
 // CoordinatorConfig parameterizes the scheduling daemon.
 type CoordinatorConfig struct {
-	Policy    core.Policy
+	Policy    core.Policy // LL, LF, IE or PM; agents model no fractional share
 	Migration core.MigrationCost
-	PauseTime float64           // PM suspend interval, seconds
-	Predictor predict.Predictor // nil selects the paper's 2x-age rule
+	PauseTime float64 // PM suspend interval, seconds
 
 	// Health sets the suspect/dead thresholds of the failure detector. The
 	// zero value selects core.DefaultHealthPolicy.
@@ -69,8 +67,9 @@ type CoordinatorConfig struct {
 	// Rec, when non-nil, receives the coordinator's failure-handling
 	// counters (runtime.agents.suspected, runtime.agents.dead,
 	// runtime.jobs.recovered, runtime.duplicates.reaped) and, with a
-	// trace sink attached, one event per health transition, recovery and
-	// migration. Outputs only — no scheduling decision reads them.
+	// trace sink attached, one event per health transition, recovery,
+	// migration and eviction. Outputs only — no scheduling decision reads
+	// them.
 	Rec *obs.Recorder
 }
 
@@ -117,15 +116,14 @@ type RecoveryCounters struct {
 // Revoke reply) park the job in a limbo slot that the next successful
 // status report resolves, so no job is ever double-assigned or lost.
 type Coordinator struct {
-	cfg       CoordinatorConfig
-	decider   core.Decider
-	predictor predict.Predictor
+	cfg CoordinatorConfig
 
 	agents []AgentClient
+	names  []string // agent names, sorted: the deterministic scan order
 	status map[string]AgentStatus
 	health map[string]*core.HealthTracker
-	hosted map[string]int // agent name -> hosted job ID
-	paused map[int]float64
+	hosted map[string]int      // agent name -> hosted job ID
+	phases map[int]hostedPhase // job ID -> policy phase; absent = core.PhaseRunning
 
 	// Ambiguous-call limbo, one slot per agent: an Assign or Revoke whose
 	// reply was lost leaves the job's location unknown until the agent
@@ -164,6 +162,13 @@ func (c *Coordinator) emit(kind, agent string, jobID int) {
 	c.cfg.Rec.Emit(obs.Event{Time: c.now, Kind: kind, Agent: agent, Job: jobID})
 }
 
+// hostedPhase is where a hosted job stands in its owner's cycle, with the
+// instant a PM pause began.
+type hostedPhase struct {
+	phase    core.Phase
+	pausedAt float64
+}
+
 // transfer is a job in flight between agents. An empty dest marks a
 // recovery transfer: the job lands back in the queue once the checkpoint
 // restore cost has been paid.
@@ -178,6 +183,9 @@ func NewCoordinator(cfg CoordinatorConfig, agents []AgentClient) (*Coordinator, 
 	if len(agents) == 0 {
 		return nil, fmt.Errorf("runtime: no agents")
 	}
+	if cfg.Policy == core.FractionalShare {
+		return nil, fmt.Errorf("runtime: agents have no fractional-share model, so the coordinator cannot run %v", cfg.Policy)
+	}
 	if cfg.PauseTime < 0 {
 		return nil, fmt.Errorf("runtime: negative pause time %g", cfg.PauseTime)
 	}
@@ -187,32 +195,28 @@ func NewCoordinator(cfg CoordinatorConfig, agents []AgentClient) (*Coordinator, 
 	if err := cfg.Health.Validate(); err != nil {
 		return nil, err
 	}
-	pred := cfg.Predictor
-	if pred == nil {
-		pred = predict.MedianLife{}
-	}
-	seen := map[string]bool{}
+	names := make([]string, 0, len(agents))
 	health := map[string]*core.HealthTracker{}
 	for _, a := range agents {
-		if seen[a.Name()] {
+		if health[a.Name()] != nil {
 			return nil, fmt.Errorf("runtime: duplicate agent name %q", a.Name())
 		}
-		seen[a.Name()] = true
+		names = append(names, a.Name())
 		health[a.Name()] = core.NewHealthTracker(cfg.Health)
 	}
+	sort.Strings(names)
 	return &Coordinator{
 		cfg:          cfg,
-		decider:      core.Decider{Cost: cfg.Migration},
-		predictor:    pred,
 		cSuspect:     cfg.Rec.Counter(obs.AgentsSuspected),
 		cDead:        cfg.Rec.Counter(obs.AgentsDead),
 		cRecover:     cfg.Rec.Counter(obs.JobsRecovered),
 		cReaped:      cfg.Rec.Counter(obs.DuplicatesReaped),
 		agents:       agents,
+		names:        names,
 		status:       map[string]AgentStatus{},
 		health:       health,
 		hosted:       map[string]int{},
-		paused:       map[int]float64{},
+		phases:       map[int]hostedPhase{},
 		limboAssign:  map[string]*Job{},
 		limboRevoke:  map[string]int{},
 		sizes:        map[int]float64{},
@@ -277,9 +281,17 @@ func (c *Coordinator) Step(dt float64) error {
 	// 2. Land migrations and recoveries that completed their transfer.
 	c.landMigrations()
 
-	// 3. Policy decisions for hosted jobs on non-idle agents.
-	if err := c.applyPolicy(); err != nil {
-		return err
+	// 3. Policy decisions for every hosted job. Jobs on suspect or dead
+	// agents are left alone: the failure detector decides their fate, not
+	// the scheduler.
+	for _, name := range c.names {
+		jobID, hosted := c.hosted[name]
+		if !hosted || !c.healthy(name) {
+			continue
+		}
+		if err := c.step(name, jobID); err != nil {
+			return err
+		}
 	}
 
 	// 4. Place queued jobs.
@@ -341,7 +353,7 @@ func (c *Coordinator) processStatus(a AgentClient, name string, st AgentStatus) 
 			c.completedIDs[j.ID] = true
 			c.completed = append(c.completed, CompletedJob{Job: j, CompletedAt: c.now, Agent: name})
 			c.dropActive(j.ID)
-			delete(c.paused, j.ID)
+			delete(c.phases, j.ID)
 		}
 		acks = append(acks, j.ID)
 	}
@@ -352,7 +364,7 @@ func (c *Coordinator) processStatus(a AgentClient, name string, st AgentStatus) 
 		delete(c.limboAssign, name)
 		switch {
 		case st.JobID == j.ID:
-			c.hosted[name] = j.ID
+			c.host(name, j.ID)
 		case c.completedIDs[j.ID]:
 			// Landed and finished within the window; handled above.
 		default:
@@ -470,7 +482,7 @@ func revokedByID(st AgentStatus, id int) (Job, bool) {
 func (c *Coordinator) recoverAgent(name string) {
 	if id, ok := c.hosted[name]; ok {
 		delete(c.hosted, name)
-		delete(c.paused, id)
+		delete(c.phases, id)
 		c.recoverCheckpoint(id)
 	}
 	if j, ok := c.limboAssign[name]; ok {
@@ -668,20 +680,15 @@ func (c *Coordinator) reservedDests() map[string]bool {
 }
 
 // findDest picks a destination agent: healthy, idle, unoccupied,
-// unreserved, with no ambiguous call pending and room for the job; lowest
-// utilization first. With allowNonIdle the search falls back to non-idle
-// agents (linger placement).
-func (c *Coordinator) findDest(j *Job, allowNonIdle bool, exclude string) string {
+// unreserved, with no ambiguous call pending and room for a sizeMB image;
+// lowest utilization first. With allowNonIdle the search falls back to
+// non-idle agents (linger placement).
+func (c *Coordinator) findDest(sizeMB float64, allowNonIdle bool, exclude string) string {
 	reserved := c.reservedDests()
-	names := make([]string, 0, len(c.agents))
-	for _, a := range c.agents {
-		names = append(names, a.Name())
-	}
-	sort.Strings(names) // deterministic iteration
 	best := ""
 	bestU := 0.0
 	bestIdle := false
-	for _, name := range names {
+	for _, name := range c.names {
 		if name == exclude || reserved[name] || !c.healthy(name) {
 			continue
 		}
@@ -695,7 +702,7 @@ func (c *Coordinator) findDest(j *Job, allowNonIdle bool, exclude string) string
 			continue
 		}
 		st := c.status[name]
-		if st.FreeMB < j.SizeMB {
+		if st.FreeMB < sizeMB {
 			continue
 		}
 		if !st.Idle && !allowNonIdle {
@@ -726,7 +733,7 @@ func (c *Coordinator) assignTo(name string, j *Job) assignOutcome {
 	err := c.agentByName(name).Assign(j)
 	switch {
 	case err == nil:
-		c.hosted[name] = j.ID
+		c.host(name, j.ID)
 		return assignLanded
 	case IsTransient(err):
 		c.limboAssign[name] = j
@@ -737,26 +744,45 @@ func (c *Coordinator) assignTo(name string, j *Job) assignOutcome {
 	}
 }
 
-// startMigration revokes the job from src and schedules its arrival at
-// dest after the §2 migration cost. A lost revoke reply parks the job in
-// revoke limbo: the next status report from src resolves whether the job
+// host records a job freshly assigned to an agent. Like the simulator's
+// attach, the job starts out lingering when the agent's owner was busy at
+// its last report, and running otherwise.
+func (c *Coordinator) host(name string, jobID int) {
+	c.hosted[name] = jobID
+	if c.status[name].Idle {
+		delete(c.phases, jobID)
+	} else {
+		c.phases[jobID] = hostedPhase{phase: core.PhaseLingering}
+	}
+}
+
+// leave revokes the job from src and moves it on: to dest after the §2
+// migration cost, or, when dest is empty, straight back to the queue with
+// its progress (an eviction). A lost revoke reply parks the job in revoke
+// limbo instead: the next status report from src resolves whether the job
 // is still there or its state must be recovered from staging.
-func (c *Coordinator) startMigration(jobID int, src, dest string) error {
+func (c *Coordinator) leave(jobID int, src, dest string) error {
 	a := c.agentByName(src)
 	j, err := a.Revoke(jobID)
 	if err != nil {
-		if IsTransient(err) {
-			delete(c.hosted, src)
-			delete(c.paused, jobID)
-			c.limboRevoke[src] = jobID
-			c.counters.AmbiguousRevokes++
-			return nil
+		if !IsTransient(err) {
+			return err
 		}
-		return err
+		// The phase stays: if the revoke never executed, the job is still
+		// paused or lingering on src when limbo resolves.
+		delete(c.hosted, src)
+		c.limboRevoke[src] = jobID
+		c.counters.AmbiguousRevokes++
+		return nil
 	}
 	delete(c.hosted, src)
-	delete(c.paused, jobID)
+	delete(c.phases, jobID)
 	a.Ack([]int{jobID}) // best effort: clears the revocation staging
+	if dest == "" {
+		c.queue = append(c.queue, j)
+		c.emit("evict", src, jobID)
+		return nil
+	}
 	c.migrating = append(c.migrating, &transfer{
 		job:     j,
 		dest:    dest,
@@ -791,81 +817,52 @@ func (c *Coordinator) landMigrations() {
 	c.queue = append(c.queue, landedQueue...)
 }
 
-// applyPolicy handles hosted jobs on non-idle agents per the policy. Jobs
-// on suspect or dead agents are left alone: the failure detector decides
-// their fate, not the scheduler.
-func (c *Coordinator) applyPolicy() error {
-	names := make([]string, 0, len(c.hosted))
-	for name := range c.hosted {
-		names = append(names, name)
+// step runs core.Step for the job hosted on name and carries out its
+// action. The coordinator applies the paper's model unscaled: linger
+// multiplier 1 and the 2x-age rule, under which an episode's predicted
+// remainder equals its age.
+func (c *Coordinator) step(name string, jobID int) error {
+	st := c.status[name]
+	ph := c.phases[jobID]
+	sit := core.Situation{
+		Policy:           c.cfg.Policy,
+		Phase:            ph.phase,
+		OwnerIdle:        st.Idle,
+		PauseExpired:     c.now-ph.pausedAt >= c.cfg.PauseTime,
+		LingerMultiplier: 1,
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		if !c.healthy(name) {
-			continue
+	dest := ""
+	if sit.NeedsDest() {
+		size := c.jobSize(jobID)
+		dest = c.findDest(size, false, name)
+		if dest != "" {
+			sit.HasDest = true
+			sit.H = st.EpisodeUtil
+			sit.L = c.status[dest].Util
+			sit.Remaining = st.EpisodeAge
+			sit.Tmigr = c.cfg.Migration.Time(size)
 		}
-		jobID := c.hosted[name]
-		st := c.status[name]
-		if st.Idle {
-			// Owner gone again: resume a paused job in place.
-			if _, isPaused := c.paused[jobID]; isPaused {
-				if err := c.pauseJob(name, jobID, false); err != nil {
-					return err
-				}
-			}
-			continue
+	}
+	switch core.Step(sit) {
+	case core.Linger:
+		c.phases[jobID] = hostedPhase{phase: core.PhaseLingering}
+		return c.step(name, jobID)
+	case core.Pause:
+		return c.pauseJob(name, jobID, true)
+	case core.Resume:
+		if ph.phase == core.PhasePaused {
+			return c.pauseJob(name, jobID, false)
 		}
-		switch c.cfg.Policy {
-		case core.ImmediateEviction:
-			if dest := c.findDest(&Job{ID: jobID, SizeMB: c.jobSize(jobID)}, false, name); dest != "" {
-				if err := c.startMigration(jobID, name, dest); err != nil {
-					return err
-				}
-			}
-		case core.PauseAndMigrate:
-			since, isPaused := c.paused[jobID]
-			if !isPaused {
-				if err := c.pauseJob(name, jobID, true); err != nil {
-					return err
-				}
-				continue
-			}
-			if c.now-since >= c.cfg.PauseTime {
-				if dest := c.findDest(&Job{ID: jobID, SizeMB: c.jobSize(jobID)}, false, name); dest != "" {
-					if err := c.startMigration(jobID, name, dest); err != nil {
-						return err
-					}
-				}
-			}
-		case core.LingerLonger:
-			dest := c.findDest(&Job{ID: jobID, SizeMB: c.jobSize(jobID)}, false, name)
-			if dest == "" {
-				continue
-			}
-			h := st.EpisodeUtil
-			l := c.status[dest].Util
-			if h > 1 {
-				h = 1
-			}
-			if l > 1 {
-				l = 1
-			}
-			remaining := c.predictor.PredictRemaining(st.EpisodeAge)
-			if h > l && remaining >= c.decider.LingerDeadline(h, l, c.jobSize(jobID)) {
-				if err := c.startMigration(jobID, name, dest); err != nil {
-					return err
-				}
-			}
-		case core.LingerForever:
-			// Never migrates.
-		}
+		delete(c.phases, jobID)
+	case core.Migrate, core.Evict:
+		return c.leave(jobID, name, dest) // dest is empty exactly for Evict
 	}
 	return nil
 }
 
-// pauseJob suspends or resumes a hosted job, updating the pause ledger
-// only on success; a transient failure is skipped and retried on the next
-// step's policy pass.
+// pauseJob suspends or resumes a hosted job, updating its phase only on
+// success; a transient failure is skipped and retried on the next step's
+// policy pass.
 func (c *Coordinator) pauseJob(name string, jobID int, paused bool) error {
 	err := c.agentByName(name).Pause(jobID, paused)
 	if err != nil {
@@ -875,9 +872,9 @@ func (c *Coordinator) pauseJob(name string, jobID int, paused bool) error {
 		return err
 	}
 	if paused {
-		c.paused[jobID] = c.now
+		c.phases[jobID] = hostedPhase{phase: core.PhasePaused, pausedAt: c.now}
 	} else {
-		delete(c.paused, jobID)
+		delete(c.phases, jobID)
 	}
 	return nil
 }
@@ -901,7 +898,7 @@ func (c *Coordinator) placeQueued() {
 	pending := c.queue
 	c.queue = c.queue[:0]
 	for _, j := range pending {
-		dest := c.findDest(j, allowNonIdle, "")
+		dest := c.findDest(j.SizeMB, allowNonIdle, "")
 		if dest == "" {
 			c.queue = append(c.queue, j)
 			continue

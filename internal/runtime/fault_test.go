@@ -1,15 +1,18 @@
 package runtime
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"lingerlonger/internal/core"
 	"lingerlonger/internal/exp"
+	"lingerlonger/internal/obs"
 	"lingerlonger/internal/stats"
 )
 
@@ -387,9 +390,11 @@ func TestCrashDuringRevokeConverges(t *testing.T) {
 	}
 }
 
-// chaosFingerprint runs a randomized fault scenario to completion and
-// returns a full textual fingerprint of its outcome.
-func chaosFingerprint(t *testing.T, seed int64) string {
+// chaosFingerprint runs a randomized fault scenario under policy p to
+// completion and returns a full textual fingerprint of its outcome and the
+// number of evictions. With allBusy every agent's owner is busy at once,
+// so IE and PM find no idle destination and evict to the queue.
+func chaosFingerprint(t *testing.T, seed int64, p core.Policy, allBusy bool) (string, int) {
 	t.Helper()
 	inj, err := NewSeededInjector(FaultConfig{
 		Drop: 0.08, DropReply: 0.04, Corrupt: 0.04, Delay: 0.02, Seed: seed,
@@ -398,9 +403,19 @@ func chaosFingerprint(t *testing.T, seed int64) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	owners := []*ScriptedOwner{busyAfter(t, 40, 0.5), quietOwner(t), quietOwner(t), quietOwner(t)}
+	if allBusy {
+		for i := range owners {
+			owners[i] = busyBetween(t, 40, 100, 0.5)
+		}
+	}
 	counters := &FaultCounters{}
-	c, agents := newFaultCluster(t, DefaultCoordinatorConfig(),
-		[]*ScriptedOwner{busyAfter(t, 40, 0.5), quietOwner(t), quietOwner(t), quietOwner(t)}, inj, counters)
+	cfg := DefaultCoordinatorConfig()
+	cfg.Policy = p
+	var trace bytes.Buffer
+	sink := obs.NewEventSink(&trace)
+	cfg.Rec = obs.New(nil, sink)
+	c, agents := newFaultCluster(t, cfg, owners, inj, counters)
 	for i := 0; i < 6; i++ {
 		if _, err := c.Submit(60, 8); err != nil {
 			t.Fatal(err)
@@ -408,31 +423,45 @@ func chaosFingerprint(t *testing.T, seed int64) string {
 	}
 	stepChecked(t, c, 2000, 0)
 	if got := len(c.Completed()); got != 6 {
-		t.Fatalf("chaos run completed %d of 6 jobs: %+v / %+v", got, c.Counters(), counters)
+		t.Fatalf("%v chaos run completed %d of 6 jobs: %+v / %+v", p, got, c.Counters(), counters)
 	}
 	if counters.Retries == 0 {
-		t.Error("chaos run recorded no retries")
+		t.Errorf("%v chaos run recorded no retries", p)
 	}
 	for _, a := range agents {
 		free, local, foreign, total := a.PoolPages()
 		if a.HasJob() || foreign != 0 || free+local+foreign != total {
-			t.Errorf("agent %s pool dirty after convergence: free %d local %d foreign %d / %d",
-				a.Name(), free, local, foreign, total)
+			t.Errorf("%v: agent %s pool dirty after convergence: free %d local %d foreign %d / %d",
+				p, a.Name(), free, local, foreign, total)
 		}
 	}
-	return fmt.Sprintf("%+v|%+v|%+v|q%d", c.Completed(), c.Counters(), *counters, c.QueueLen())
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	evictions := strings.Count(trace.String(), `"kind":"evict"`)
+	return fmt.Sprintf("%+v|%+v|%+v|q%d|e%d", c.Completed(), c.Counters(), *counters, c.QueueLen(), evictions), evictions
 }
 
 // The same seed must produce byte-identical outcomes — including under
-// -race, where the CI runs this test — and a different seed must not.
+// -race, where the CI runs this test — and a different seed must not, for
+// every paper policy that acts on an owner's return, both with a spare
+// idle agent and with every owner busy at once.
 func TestChaosDeterministicAcrossRuns(t *testing.T) {
-	a := chaosFingerprint(t, 7)
-	b := chaosFingerprint(t, 7)
-	if a != b {
-		t.Errorf("same seed, different outcomes:\n%s\n%s", a, b)
-	}
-	if c := chaosFingerprint(t, 8); c == a {
-		t.Error("different seed produced an identical outcome (injector ignores the seed?)")
+	for _, p := range []core.Policy{core.LingerLonger, core.ImmediateEviction, core.PauseAndMigrate} {
+		for _, allBusy := range []bool{false, true} {
+			a, evictions := chaosFingerprint(t, 7, p, allBusy)
+			if b, _ := chaosFingerprint(t, 7, p, allBusy); a != b {
+				t.Errorf("%v allBusy=%v: same seed, different outcomes:\n%s\n%s", p, allBusy, a, b)
+			}
+			if c, _ := chaosFingerprint(t, 8, p, allBusy); c == a {
+				t.Errorf("%v allBusy=%v: different seed produced an identical outcome (injector ignores the seed?)", p, allBusy)
+			}
+			// LL never evicts; IE and PM must when no owner is idle.
+			lingers := p == core.LingerLonger
+			if lingers && evictions > 0 || !lingers && allBusy && evictions == 0 {
+				t.Errorf("%v allBusy=%v: %d evictions", p, allBusy, evictions)
+			}
+		}
 	}
 }
 
@@ -708,6 +737,11 @@ func TestNewCoordinatorRejectsBadConfig(t *testing.T) {
 		t.Error("negative pause time accepted")
 	}
 	cfg = DefaultCoordinatorConfig()
+	cfg.Policy = core.FractionalShare
+	if _, err := NewCoordinator(cfg, []AgentClient{a}); err == nil {
+		t.Error("FS accepted, though agents have no fractional-share model")
+	}
+	cfg = DefaultCoordinatorConfig()
 	cfg.Health = core.HealthPolicy{SuspectAfter: 5, DeadAfter: 2}
 	if _, err := NewCoordinator(cfg, []AgentClient{a}); err == nil {
 		t.Error("invalid health policy accepted")
@@ -806,8 +840,9 @@ func TestPauseResumeUnderFaults(t *testing.T) {
 	})
 	cfg := DefaultCoordinatorConfig()
 	cfg.Policy = core.PauseAndMigrate
-	// Single agent: nowhere to migrate, so the job must pause in place and
-	// resume when the owner leaves.
+	// Single agent: nowhere to migrate, so the job pauses in place, and
+	// when the pause expires with the owner still busy it is evicted to
+	// the queue and placed again once the owner leaves.
 	c, _ := newFaultCluster(t, cfg, []*ScriptedOwner{owner}, inj, &FaultCounters{})
 	if _, err := c.Submit(60, 8); err != nil {
 		t.Fatal(err)

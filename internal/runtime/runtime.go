@@ -14,8 +14,11 @@
 // Time is virtual and driven synchronously by Coordinator.Step, so runs
 // are deterministic — including over the TCP transport (transport.go),
 // where every agent runs behind a gob request/response protocol on a real
-// socket. The same policy code (internal/core) and predictors
-// (internal/predict) used by the simulator drive the prototype.
+// socket. The policy decision is the simulator's: each step the
+// coordinator hands every hosted job to core.Step and carries out the
+// action it returns, with the paper's unscaled linger deadline and
+// 2x-age rule. The coordinator runs LL, LF, IE and PM; agents model no
+// fractional share, so it rejects FS.
 package runtime
 
 import (

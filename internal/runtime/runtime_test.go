@@ -31,6 +31,21 @@ func busyAfter(t *testing.T, lead, util float64) *ScriptedOwner {
 	return o
 }
 
+// busyBetween returns an owner idle for lead seconds, active at util for
+// busy seconds, then idle again (recruitable 60 s after the activity).
+func busyBetween(t *testing.T, lead, busy, util float64) *ScriptedOwner {
+	t.Helper()
+	o, err := NewScriptedOwner([]OwnerPhase{
+		{Duration: lead, Util: 0.02, FreeMB: 40},
+		{Duration: busy, Util: util, Keyboard: true, FreeMB: 40},
+		{Duration: 1e6, Util: 0.02, FreeMB: 40},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
 func TestScriptedOwnerValidation(t *testing.T) {
 	if _, err := NewScriptedOwner(nil); err == nil {
 		t.Error("empty script accepted")
@@ -269,6 +284,70 @@ func TestCoordinatorIEEvictsImmediately(t *testing.T) {
 	}
 	if c.Migrations() != 1 {
 		t.Errorf("IE migrations = %d, want exactly 1 (eviction from the busy node)", c.Migrations())
+	}
+}
+
+// evictedWithoutSpare runs one 100-s job on a single agent whose owner is
+// busy from 30 s to 90 s (idle again from ~150 s) and returns the instant
+// the job first sat in the queue after it started.
+func evictedWithoutSpare(t *testing.T, cfg CoordinatorConfig) float64 {
+	t.Helper()
+	c := newLocalCluster(t, cfg, []*ScriptedOwner{busyBetween(t, 30, 60, 0.5)})
+	if _, err := c.Submit(100, 8); err != nil {
+		t.Fatal(err)
+	}
+	evictedAt, carried := -1.0, 0.0
+	for i := 0; i < 400 && len(c.Completed()) < 1; i++ {
+		if err := c.Step(1); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if evictedAt < 0 && c.Now() > 1 && c.QueueLen() == 1 {
+			evictedAt, carried = c.Now(), c.queue[0].Progress
+		}
+	}
+	if len(c.Completed()) != 1 {
+		t.Fatalf("completed %d of 1 jobs", len(c.Completed()))
+	}
+	if c.Migrations() != 0 {
+		t.Errorf("migrations = %d with no spare agent", c.Migrations())
+	}
+	if evictedAt < 0 {
+		t.Fatal("the job was never evicted back to the queue")
+	}
+	// ~29 CPU-s accrue before the owner returns at 30 s; the evicted job
+	// must carry them, so it finishes ~29 s sooner than a restart would.
+	if carried < 25 {
+		t.Errorf("evicted job carried progress %g, want the ~29 s done before the owner returned", carried)
+	}
+	done := c.Completed()[0]
+	if done.CompletedAt < 150 || done.CompletedAt > 150+100-20 {
+		t.Errorf("job completed at %g, want after the owner leaves (~150 s) with its progress kept", done.CompletedAt)
+	}
+	t.Logf("evicted at %g s carrying %g CPU-s; completed at %g s", evictedAt, carried, done.CompletedAt)
+	return evictedAt
+}
+
+// IE with no idle spare evicts the job to the queue at once, as the
+// simulator does, instead of leaving it on the busy node.
+func TestCoordinatorIEEvictsWithoutSpare(t *testing.T) {
+	cfg := DefaultCoordinatorConfig()
+	cfg.Policy = core.ImmediateEviction
+	if at := evictedWithoutSpare(t, cfg); at < 30 || at > 35 {
+		t.Errorf("IE evicted at %g s, want as the owner returns (~31 s)", at)
+	}
+}
+
+// PM with no idle spare pauses the job, then evicts it to the queue once
+// the pause expires, instead of staying paused until the owner leaves.
+func TestCoordinatorPMEvictsWhenPauseExpires(t *testing.T) {
+	cfg := DefaultCoordinatorConfig()
+	cfg.Policy = core.PauseAndMigrate
+	cfg.PauseTime = 30
+	if at := evictedWithoutSpare(t, cfg); at < 60 || at > 65 {
+		t.Errorf("PM evicted at %g s, want once the 30 s pause expires (~61 s)", at)
 	}
 }
 

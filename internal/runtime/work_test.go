@@ -89,6 +89,38 @@ func TestWorkWithoutExecutorFailsFast(t *testing.T) {
 	}
 }
 
+// A panicking executor must come back as the point's error, and the
+// agent must answer the next request: one bad point over TCP cannot kill
+// a lingerd -agent.
+func TestWorkExecutorPanicIsTaskError(t *testing.T) {
+	var calls atomic.Int64
+	echo := echoExecutor(&calls)
+	srv := startWorkAgent(t, func(spec exp.PointSpec) ([]byte, error) {
+		if spec.Index == 13 {
+			panic("bad point")
+		}
+		return echo(spec)
+	})
+	c, err := DialAgent(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Work(workSpec(13)); err == nil || !strings.Contains(err.Error(), "bad point") {
+		t.Fatalf("Work on a panicking point = %v, want the panic as an error", err)
+	} else if IsTransient(err) {
+		t.Errorf("executor panic classified transient: %v", err)
+	}
+	got, err := c.Work(workSpec(3))
+	if err != nil {
+		t.Fatalf("agent did not survive the panic: %v", err)
+	}
+	want, _ := json.Marshal(map[string]any{"task": "echo", "index": 3, "seed": exp.DeriveSeed(7, 3)})
+	if string(got) != string(want) {
+		t.Errorf("Work after the panic = %s, want %s", got, want)
+	}
+}
+
 // A dropped reply plus retry must replay the cached result rather than
 // execute the point a second time — at-most-once holds for reqWork.
 func TestWorkAtMostOnceOnDroppedReply(t *testing.T) {
