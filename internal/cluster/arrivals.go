@@ -35,7 +35,8 @@ type ArrivalsResult struct {
 	P95Response float64
 	// MeanQueued is the mean time jobs spent waiting for a node.
 	MeanQueued float64
-	// OfferedLoad is rate * job CPU / cluster size — the demand per node.
+	// OfferedLoad is rate * mean job CPU / cluster size — the demand per
+	// node. The mean job CPU is JobSizes' mean when it is set, else JobCPU.
 	OfferedLoad float64
 	LocalDelay  float64
 	Migrations  int
@@ -101,9 +102,13 @@ func RunArrivals(cfg ArrivalsConfig, corpus []*trace.Trace) (*ArrivalsResult, er
 	}
 
 	ccfg.Rec.Histogram(obs.SimRunSeconds).Observe(s.now)
+	meanCPU := ccfg.JobCPU
+	if ccfg.JobSizes != nil {
+		meanCPU = ccfg.JobSizes.Mean()
+	}
 	res := &ArrivalsResult{
 		Arrived:     arrived,
-		OfferedLoad: cfg.Rate * ccfg.JobCPU / float64(ccfg.Nodes),
+		OfferedLoad: cfg.Rate * meanCPU / float64(ccfg.Nodes),
 		LocalDelay:  s.localDelay(),
 		Migrations:  s.migrations,
 	}

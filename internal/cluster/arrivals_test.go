@@ -197,3 +197,18 @@ func TestRunArrivalsHonoursJobSizes(t *testing.T) {
 		t.Errorf("sized mean response %g below the smallest drawn demand: JobSizes ignored", sized.MeanResponse)
 	}
 }
+
+// The offered load is the demand per node that JobSizes actually draws:
+// its mean, not the fixed JobCPU it overrides.
+func TestRunArrivalsOfferedLoadUsesJobSizes(t *testing.T) {
+	corpus := testCorpus(t, 4, 1, 20)
+	cfg := arrivalsConfig(core.LingerLonger, 0.02)
+	cfg.Cluster.JobSizes = stats.Uniform{Lo: 300, Hi: 400}
+	res, err := RunArrivals(cfg, corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 0.02 * 350 / 16.0; res.OfferedLoad != want {
+		t.Errorf("offered load %g, want rate x mean size / nodes = %g (not the JobCPU-based 0.15)", res.OfferedLoad, want)
+	}
+}

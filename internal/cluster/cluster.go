@@ -300,14 +300,22 @@ func newSimulation(cfg Config, corpus []*trace.Trace) (*simulation, error) {
 		cPlace:    cfg.Rec.Counter(obs.Labeled(obs.ClusterPlacements, "policy", policy)),
 		cComp:     cfg.Rec.Counter(obs.Labeled(obs.ClusterCompletions, "policy", policy)),
 	}
-	for i := range s.nodes {
+	views := make([]*trace.View, cfg.Nodes)
+	nodeRNGs := make([]*stats.RNG, cfg.Nodes)
+	for i := range views {
 		tr := corpus[rng.Intn(len(corpus))]
 		offset := rng.Float64() * tr.Duration()
-		view := trace.NewView(tr, offset)
+		views[i] = trace.NewView(tr, offset)
+		nodeRNGs[i] = rng.Split()
+	}
+	// Synthesize the trace blocks the nodes start in, in parallel, before
+	// the node models read them; later blocks fill as the run reaches them.
+	trace.Prefill(views, cfg.Rec)
+	for i, view := range views {
 		s.nodes[i] = simNode{
 			id:   i,
 			view: view,
-			fine: node.New(node.Config{ContextSwitch: cfg.ContextSwitch, Rec: cfg.Rec}, table, view, rng.Split()),
+			fine: node.New(node.Config{ContextSwitch: cfg.ContextSwitch, Rec: cfg.Rec}, table, view, nodeRNGs[i]),
 		}
 	}
 	s.rng = rng.Split()

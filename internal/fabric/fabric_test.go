@@ -65,17 +65,53 @@ func startAgents(t *testing.T, names []string, reg *exp.Tasks) []string {
 	t.Helper()
 	addrs := make([]string, len(names))
 	for i, name := range names {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		a := runtime.NewAgent(name, testOwner(t), 64)
-		a.SetWorkExecutor(reg.Run)
-		srv := runtime.NewAgentServer(a, l)
-		t.Cleanup(func() { srv.Close() })
-		addrs[i] = srv.Addr().String()
+		addrs[i] = serveAgent(t, name, reg.Run, listen(t))
 	}
 	return addrs
+}
+
+// listen opens a loopback listener.
+func listen(t *testing.T) net.Listener {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// serveAgent serves one agent named name on l, executing exec, and
+// returns its address.
+func serveAgent(t *testing.T, name string, exec exp.TaskFunc, l net.Listener) string {
+	t.Helper()
+	a := runtime.NewAgent(name, testOwner(t), 64)
+	a.SetWorkExecutor(exec)
+	srv := runtime.NewAgentServer(a, l)
+	t.Cleanup(func() { srv.Close() })
+	return srv.Addr().String()
+}
+
+// acceptSignal is a listener that closes reached once it has accepted n
+// connections.
+type acceptSignal struct {
+	net.Listener
+	n       int
+	reached chan struct{}
+
+	mu       sync.Mutex
+	accepted int
+}
+
+func (l *acceptSignal) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.mu.Lock()
+		if l.accepted++; l.accepted == l.n {
+			close(l.reached)
+		}
+		l.mu.Unlock()
+	}
+	return c, err
 }
 
 // fastLink is a test-scale link config: no backoff sleeps, fast probes,
@@ -196,10 +232,28 @@ func TestFabricDeterministicUnderDrops(t *testing.T) {
 
 // An agent severed for the whole run must go dead, its points must be
 // re-executed elsewhere, and the bytes must not change.
+//
+// The healthy agents a and c hold every point until b has accepted two
+// connections. The coordinator connects to b only from a slot holding a
+// point or from the prober of a suspect b, and the injector refuses the
+// call that follows each connection whatever a and c do meanwhile. So b
+// is charged two consecutive failures (dead) and at least one point is
+// requeued, however the goroutines are scheduled: without the hold, a
+// and c could finish all 24 points before b was dialled at all.
 func TestFabricSurvivesDeadAgent(t *testing.T) {
 	specs := testSpecs(24)
 	want := serialBaseline(t, specs)
-	addrs := startAgents(t, []string{"a", "b", "c"}, testTasks(0))
+	tasks := testTasks(0)
+	bDialled := make(chan struct{})
+	held := func(spec exp.PointSpec) ([]byte, error) {
+		<-bDialled
+		return tasks.Run(spec)
+	}
+	addrs := []string{
+		serveAgent(t, "a", held, listen(t)),
+		serveAgent(t, "b", tasks.Run, &acceptSignal{Listener: listen(t), n: 2, reached: bDialled}),
+		serveAgent(t, "c", held, listen(t)),
+	}
 	inj, err := runtime.NewSeededInjector(runtime.FaultConfig{
 		Seed:       42,
 		Partitions: map[string]runtime.Partition{"b": {FromCall: 0, Calls: 1 << 30}},

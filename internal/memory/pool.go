@@ -144,8 +144,10 @@ func (p *Pool) ReleaseForeign(pages int) {
 
 // SetLocalUsage adjusts the local working set to exactly pages, growing
 // through RequestLocal (with its reclaim semantics) or shrinking through
-// ReleaseLocal. The cluster simulator drives this from the coarse-grain
-// trace's free-memory signal.
+// ReleaseLocal. The §7 prototype's agent (internal/runtime) drives this
+// from its owner's free-memory signal before each admission and tick; the
+// cluster simulator does not use the pool (its memory check compares the
+// trace's free memory with the job size directly).
 func (p *Pool) SetLocalUsage(pages int) {
 	if pages < 0 {
 		panic("memory: negative local usage")

@@ -29,6 +29,11 @@ const (
 	// Node scheduler (internal/node).
 	NodePreemptions = "node.preemptions" // counter
 
+	// Trace synthesis caused by cluster runs (internal/trace, recorded
+	// through cluster.Config.Rec).
+	TraceSamplesAdvanced = "trace.samples.advanced" // counter
+	TraceSamplesFilled   = "trace.samples.filled"   // counter
+
 	// Cluster policies (internal/cluster); labeled {policy=LL|LF|IE|PM}.
 	ClusterCompletions = "cluster.completions" // counter
 	ClusterMigrations  = "cluster.migrations"  // counter
@@ -116,6 +121,8 @@ var Catalog = []Def{
 	{SimEventsFired, KindCounter, "Poisson arrivals fired by the open-system extension"},
 	{SimRunSeconds, KindHistogram, "final simulated time of each simulation run, seconds of sim time"},
 	{NodePreemptions, KindCounter, "foreign-job preemptions by a returning local burst (context-switch charges, §3)"},
+	{TraceSamplesAdvanced, KindCounter, "trace samples the generator stepped through without storing, to reach a block a cluster run read"},
+	{TraceSamplesFilled, KindCounter, "trace samples the generator synthesized and stored because a cluster run read their block"},
 	{ClusterCompletions, KindCounter, "foreign jobs completed, per policy"},
 	{ClusterMigrations, KindCounter, "job migrations started, per policy (Tmigr charges, §2)"},
 	{ClusterEvictions, KindCounter, "jobs evicted back to the queue by an owner's return, per policy"},

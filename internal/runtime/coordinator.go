@@ -57,8 +57,7 @@ func (c LocalClient) Close() error { return nil }
 // CoordinatorConfig parameterizes the scheduling daemon.
 type CoordinatorConfig struct {
 	Policy    core.Policy // LL, LF, IE or PM; agents model no fractional share
-	Migration core.MigrationCost
-	PauseTime float64 // PM suspend interval, seconds
+	PauseTime float64     // PM suspend interval, seconds
 
 	// Health sets the suspect/dead thresholds of the failure detector. The
 	// zero value selects core.DefaultHealthPolicy.
@@ -73,12 +72,11 @@ type CoordinatorConfig struct {
 	Rec *obs.Recorder
 }
 
-// DefaultCoordinatorConfig returns LL with the paper's migration cost and
-// the default failure detector.
+// DefaultCoordinatorConfig returns LL with the default failure detector.
+// Migrations always cost the paper's core.DefaultMigrationCost.
 func DefaultCoordinatorConfig() CoordinatorConfig {
 	return CoordinatorConfig{
 		Policy:    core.LingerLonger,
-		Migration: core.DefaultMigrationCost(),
 		PauseTime: 30,
 		Health:    core.DefaultHealthPolicy(),
 	}
@@ -517,7 +515,7 @@ func (c *Coordinator) recoverJob(j Job) {
 	c.migrating = append(c.migrating, &transfer{
 		job:     &cp,
 		dest:    "",
-		arrival: c.now + core.RecoveryCost(c.cfg.Migration, j.SizeMB),
+		arrival: c.now + core.RecoveryCost(core.DefaultMigrationCost(), j.SizeMB),
 	})
 	c.counters.RecoveredJobs++
 	c.cRecover.Inc()
@@ -786,7 +784,7 @@ func (c *Coordinator) leave(jobID int, src, dest string) error {
 	c.migrating = append(c.migrating, &transfer{
 		job:     j,
 		dest:    dest,
-		arrival: c.now + c.cfg.Migration.Time(j.SizeMB),
+		arrival: c.now + core.DefaultMigrationCost().Time(j.SizeMB),
 	})
 	c.migrations++
 	c.emit("migrate", dest, jobID)
@@ -840,7 +838,7 @@ func (c *Coordinator) step(name string, jobID int) error {
 			sit.H = st.EpisodeUtil
 			sit.L = c.status[dest].Util
 			sit.Remaining = st.EpisodeAge
-			sit.Tmigr = c.cfg.Migration.Time(size)
+			sit.Tmigr = core.DefaultMigrationCost().Time(size)
 		}
 	}
 	switch core.Step(sit) {

@@ -43,6 +43,15 @@ func (r *RNG) Split() *RNG {
 	return NewRNG(seed)
 }
 
+// Clone returns an independent copy of r whose stream continues exactly
+// where r's would: the copy and r draw the same values from here on. The
+// copy costs one source state, about 5 KB.
+func (r *RNG) Clone() *RNG {
+	c := &RNG{src: r.src}
+	c.r = rand.New(&c.src)
+	return c
+}
+
 // Float64 returns a uniform variate in [0, 1). It is math/rand's Float64,
 // including the retry that keeps a rounded-up 1.0 out of the stream.
 func (r *RNG) Float64() float64 {

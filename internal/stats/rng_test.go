@@ -55,6 +55,36 @@ func TestRNGMatchesMathRand(t *testing.T) {
 	}
 }
 
+// TestRNGCloneContinuesStream checks that a clone taken mid-stream draws
+// exactly the values the original draws next, across the fast path and the
+// rand.Rand path, and that the two stay independent afterwards.
+func TestRNGCloneContinuesStream(t *testing.T) {
+	orig := NewRNG(7)
+	for i := 0; i < 1000; i++ {
+		orig.ExpFloat64()
+		orig.Float64()
+	}
+	clone := orig.Clone()
+	want := make([]float64, 0, 4096)
+	for i := 0; i < 1024; i++ {
+		want = append(want, orig.Float64(), orig.ExpFloat64(), float64(orig.Intn(97)), orig.NormFloat64())
+	}
+	for i := 0; i < 1024; i++ {
+		got := []float64{clone.Float64(), clone.ExpFloat64(), float64(clone.Intn(97)), clone.NormFloat64()}
+		if !slices.Equal(got, want[4*i:4*i+4]) {
+			t.Fatalf("round %d: clone drew %v, original %v", i, got, want[4*i:4*i+4])
+		}
+	}
+	// Drawing from the clone must not move the original.
+	a, b := orig.Clone(), orig.Clone()
+	for i := 0; i < 100; i++ {
+		a.Int63()
+	}
+	if g, w := b.ExpFloat64(), orig.ExpFloat64(); g != w {
+		t.Fatalf("after draws on a sibling clone: ExpFloat64 = %v, want %v", g, w)
+	}
+}
+
 var sinkFloat64 float64
 
 func BenchmarkRNGFloat64(b *testing.B) {

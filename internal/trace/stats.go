@@ -23,8 +23,10 @@ type CorpusStats struct {
 	MeanNonIdleEpisode float64
 }
 
-// Analyze computes corpus statistics.
+// Analyze computes corpus statistics. Generated traces are synthesized in
+// full first, in parallel.
 func Analyze(traces []*Trace) CorpusStats {
+	fillCorpus(traces)
 	var cs CorpusStats
 	cs.Machines = len(traces)
 	var nonIdle, total int
@@ -33,10 +35,11 @@ func Analyze(traces []*Trace) CorpusStats {
 	var idleEp, nonIdleEp stats.Welford
 	for _, tr := range traces {
 		mask := tr.IdleMask()
-		for i, cpu := range tr.cpu {
+		for i, idle := range mask {
+			cpu := tr.Sample(i).CPU
 			total++
 			cpuSum += cpu
-			if mask[i] {
+			if idle {
 				cpuIdleSum += cpu
 			} else {
 				nonIdle++
@@ -74,14 +77,15 @@ func Analyze(traces []*Trace) CorpusStats {
 
 // Fig4 reproduces Figure 4: the CDF of available memory over all samples,
 // over idle samples, and over non-idle samples. The returned ECDFs are in
-// megabytes.
+// megabytes. Generated traces are synthesized in full first, in parallel.
 func Fig4(traces []*Trace) (all, idle, nonIdle *stats.ECDF) {
+	fillCorpus(traces)
 	all, idle, nonIdle = &stats.ECDF{}, &stats.ECDF{}, &stats.ECDF{}
 	for _, tr := range traces {
-		mask := tr.IdleMask()
-		for i, free := range tr.free {
+		for i, isIdle := range tr.IdleMask() {
+			free := tr.Sample(i).FreeMB
 			all.Add(free)
-			if mask[i] {
+			if isIdle {
 				idle.Add(free)
 			} else {
 				nonIdle.Add(free)

@@ -3,9 +3,7 @@ package trace
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"lingerlonger/internal/stats"
 )
@@ -119,8 +117,8 @@ const (
 	stCompute
 )
 
-// Generate synthesizes one workstation trace. The model steps every two
-// seconds:
+// Generate synthesizes one workstation trace, drawing from rng. The model
+// steps every two seconds:
 //
 //   - a two-state presence Markov chain targets the configured hourly
 //     occupancy with sticky sessions (mean MeanSessionMin),
@@ -131,43 +129,89 @@ const (
 //     cron spikes,
 //   - the free-memory signal follows the owner's working set: a drifting
 //     base set plus a surge during compute episodes.
+//
+// The whole trace is synthesized before Generate returns, so rng ends
+// where the last sample left it.
 func Generate(cfg Config, rng *stats.RNG) (*Trace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return generate(&cfg, rng), nil
+	tr := newGenerated(&cfg, rng)
+	for b := range tr.blocks {
+		tr.block(b, nil)
+	}
+	tr.gen = nil
+	return tr, nil
 }
 
-// generate is Generate on a validated configuration.
-func generate(cfg *Config, rng *stats.RNG) *Trace {
-	n := int(float64(cfg.Days) * 24 * 3600 / SampleInterval)
-	tr := makeTrace(SampleInterval, cfg.TotalMB, n)
-	// Local columns of length n let the compiler drop the loop's bounds
-	// checks.
-	cpuCol, freeCol, kbCol := tr.cpu[:n], tr.free[:n], tr.kb[:n]
+// newGenerated returns a trace whose blocks are synthesized from rng, which
+// the trace then owns, the first time they are read.
+func newGenerated(cfg *Config, rng *stats.RNG) *Trace {
+	tr := makeTrace(SampleInterval, cfg.TotalMB, int(float64(cfg.Days)*24*3600/SampleInterval))
+	tr.gen = &generator{cfg: *cfg, head: newChain(cfg, rng), snaps: make([]*chain, len(tr.blocks))}
+	return tr
+}
 
-	// Presence chain: leave probability fixed by mean session length;
-	// arrival probability solves the target stationary occupancy.
-	pLeave := SampleInterval / (cfg.MeanSessionMin * 60)
-
-	state := stAbsent
-	present := rng.Bool(cfg.presenceAt(0))
-	if present {
-		state = stTyping
-	}
-	stateLeft := sampleEpisode(rng, cfg, state) // seconds remaining in state
-	cronLeft := 0.0
-	baseWS := uniform(rng, cfg.BaseWSPresent)
-	computeWS := 0.0
+// chain is the generator's state between two samples: everything the
+// next sample depends on, including the variate stream. Stepping a chain
+// through a block draws the same variates whether or not the samples are
+// stored, so a copy taken at a block boundary resumes the trace exactly
+// there.
+type chain struct {
+	rng       *stats.RNG
+	i         int // index of the next sample
+	present   bool
+	state     ownerState
+	stateLeft float64 // seconds remaining in state
+	cronLeft  float64
+	baseWS    float64
+	computeWS float64
 
 	// The presence target is piecewise constant per hour, so it is looked
 	// up once per hour boundary instead of per two-second sample. The
 	// values are identical to calling presenceAt every step.
-	target := 0.0
-	targetUntil := 0.0
+	target, targetUntil float64
 
-	for i := 0; i < n; i++ {
-		now := float64(i) * SampleInterval
+	lastActive float64 // last non-quiet sample, for the idle flag
+}
+
+// newChain draws the initial state of a trace from rng, which the chain
+// then owns.
+func newChain(cfg *Config, rng *stats.RNG) *chain {
+	c := &chain{rng: rng, state: stAbsent, lastActive: -RecruitmentDelay}
+	c.present = rng.Bool(cfg.presenceAt(0))
+	if c.present {
+		c.state = stTyping
+	}
+	c.stateLeft = sampleEpisode(rng, cfg, c.state)
+	c.baseWS = uniform(rng, cfg.BaseWSPresent)
+	return c
+}
+
+// clone returns an independent copy of c.
+func (c *chain) clone() *chain {
+	d := *c
+	d.rng = c.rng.Clone()
+	return &d
+}
+
+// run steps the chain through the next n samples and stores them in
+// blk[0:n]; a nil blk steps through them storing nothing. Both draw the
+// same variates, so skipping a block and filling it leave the chain in
+// the same state.
+func (c *chain) run(cfg *Config, blk *block, n int) {
+	// Presence chain: leave probability fixed by mean session length;
+	// arrival probability solves the target stationary occupancy.
+	pLeave := SampleInterval / (cfg.MeanSessionMin * 60)
+
+	// The state lives in locals for the loop and goes back at the end.
+	rng := c.rng
+	present, state, stateLeft, cronLeft := c.present, c.state, c.stateLeft, c.cronLeft
+	baseWS, computeWS := c.baseWS, c.computeWS
+	target, targetUntil, lastActive := c.target, c.targetUntil, c.lastActive
+
+	for j := 0; j < n; j++ {
+		now := float64(c.i+j) * SampleInterval
 		if now >= targetUntil {
 			target = cfg.presenceAt(now)
 			targetUntil = (math.Floor(now/3600) + 1) * 3600
@@ -231,6 +275,8 @@ func generate(cfg *Config, rng *stats.RNG) *Trace {
 				cpu = cron
 			}
 		}
+		cpu = clamp(cpu, 0, 1)
+		idle := idleStep(&lastActive, now, cpu, kb)
 
 		// Working set dynamics.
 		baseWS += (rng.Float64()*2 - 1) * cfg.WSDriftMB
@@ -248,24 +294,73 @@ func generate(cfg *Config, rng *stats.RNG) *Trace {
 		} else {
 			computeWS = 0
 		}
-		free := cfg.TotalMB - cfg.OSMB - baseWS - computeWS
-		free = clamp(free, 1, cfg.TotalMB)
 
-		cpuCol[i] = clamp(cpu, 0, 1)
-		freeCol[i] = free
-		kbCol[i] = kb
+		if blk != nil {
+			free := cfg.TotalMB - cfg.OSMB - baseWS - computeWS
+			blk.cpu[j] = cpu
+			blk.free[j] = clamp(free, 1, cfg.TotalMB)
+			blk.kb[j] = kb
+			blk.idle[j] = idle
+		}
 	}
-	return tr
+
+	c.i += n
+	c.present, c.state, c.stateLeft, c.cronLeft = present, state, stateLeft, cronLeft
+	c.baseWS, c.computeWS = baseWS, computeWS
+	c.target, c.targetUntil, c.lastActive = target, targetUntil, lastActive
+}
+
+// generator synthesizes the blocks of one trace on demand. It keeps the
+// chain at the frontier (the start of block next) and, for every block
+// the frontier has stepped past without filling, a copy of the chain at
+// that block's start.
+type generator struct {
+	mu    sync.Mutex
+	cfg   Config
+	head  *chain   // chain at the start of block next
+	next  int      // first block the frontier has not reached
+	snaps []*chain // snaps[b]: chain at the start of unfilled block b < next
+}
+
+// fill sets block b of a generated trace and returns it with the number
+// of samples the chain stepped through without storing (to reach b) and
+// the number it stored. A block some other reader filled first costs
+// nothing.
+func (t *Trace) fill(b int) (blk *block, advanced, filled int) {
+	g := t.gen
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if blk := t.blocks[b].Load(); blk != nil {
+		return blk, 0, 0
+	}
+	for ; g.next < b; g.next++ {
+		g.snaps[g.next] = g.head.clone()
+		n := t.blockSize(g.next)
+		g.head.run(&g.cfg, nil, n)
+		advanced += n
+	}
+	c := g.head
+	if b < g.next {
+		c, g.snaps[b] = g.snaps[b], nil
+	} else {
+		g.next++
+	}
+	blk = new(block)
+	filled = t.blockSize(b)
+	c.run(&g.cfg, blk, filled)
+	t.blocks[b].Store(blk)
+	return blk, advanced, filled
 }
 
 // GenerateCorpus synthesizes machines independent traces. Each trace gets
 // an independent RNG split from rng, so the corpus is reproducible from a
-// single seed.
+// single seed: each trace is a pure function of its own split, the same
+// trace Generate makes from it.
 //
-// The splits are drawn serially, in machine order, before any trace is
-// filled; each trace is then a pure function of its own split, so filling
-// them on min(machines, GOMAXPROCS) goroutines yields the same corpus as
-// calling Generate on each split in turn.
+// The traces are lazy: a block is synthesized when something first reads
+// it (DESIGN.md §8). The splits are drawn serially, in machine order, and
+// each trace's initial state is drawn from its split here, so when and on
+// which goroutine a block fills never changes what it holds.
 func GenerateCorpus(cfg Config, machines int, rng *stats.RNG) ([]*Trace, error) {
 	if machines <= 0 {
 		return nil, fmt.Errorf("trace: machine count must be positive, got %d", machines)
@@ -273,23 +368,10 @@ func GenerateCorpus(cfg Config, machines int, rng *stats.RNG) ([]*Trace, error) 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rngs := make([]*stats.RNG, machines)
-	for i := range rngs {
-		rngs[i] = rng.Split()
-	}
 	out := make([]*Trace, machines)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(machines, runtime.GOMAXPROCS(0)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1) - 1); i < machines; i = int(next.Add(1) - 1) {
-				out[i] = generate(&cfg, rngs[i])
-			}
-		}()
+	for i := range out {
+		out[i] = newGenerated(&cfg, rng.Split())
 	}
-	wg.Wait()
 	return out, nil
 }
 

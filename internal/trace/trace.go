@@ -16,7 +16,12 @@ package trace
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
+
+	"lingerlonger/internal/obs"
 )
 
 // SampleInterval is the trace sampling granularity in seconds.
@@ -37,24 +42,42 @@ type Sample struct {
 	Keyboard bool    // keyboard or mouse activity during the interval
 }
 
+// Samples are stored in fixed blocks of blockLen consecutive samples
+// (8192 s of a two-second trace), the unit in which a generated trace is
+// synthesized on demand.
+const (
+	blockShift = 12
+	blockLen   = 1 << blockShift
+	blockMask  = blockLen - 1
+)
+
+// block holds blockLen consecutive samples, one column per field plus the
+// recruitment-threshold idle flag, so the hot readers (UtilizationAt,
+// IdleAt) touch only the columns they need. The last block of a trace may
+// be partly used.
+type block struct {
+	cpu  [blockLen]float64
+	free [blockLen]float64
+	kb   [blockLen]bool
+	idle [blockLen]bool
+}
+
 // Trace is a sequence of samples from one workstation. It is immutable:
-// NewTrace copies the samples into the trace, which stores them as one
-// column per field, so the hot readers (UtilizationAt, IdleMask) touch
-// only the columns they need.
+// every read returns the same value however and whenever it is made.
+//
+// A trace from NewTrace or Read holds every block from the start. A trace
+// from GenerateCorpus holds its generator instead and synthesizes a block
+// the first time anything reads it (DESIGN.md §8), so a cluster run that
+// reads a short span of a week-long trace pays for little more than that
+// span. Reads are safe from any number of goroutines: a filled block is
+// published through an atomic pointer, and filling is serialized per
+// trace.
 type Trace struct {
 	interval float64 // seconds between samples (SampleInterval)
 	totalMB  float64 // physical memory size of the machine
-	cpu      []float64
-	free     []float64
-	kb       []bool
-
-	// Idle-mask memo. Computing the recruitment mask is O(samples); before
-	// it was cached here, NewView recomputed it per node and the 64-node
-	// cluster constructor dominated the whole simulation's profile. The
-	// sync.Once makes the lazy fill safe when parallel sweep workers build
-	// views over a shared corpus.
-	maskOnce sync.Once
-	maskMemo []bool
+	n        int     // number of samples
+	blocks   []atomic.Pointer[block]
+	gen      *generator // fills missing blocks; nil when every block is set
 }
 
 // NewTrace returns a trace of samples taken every interval seconds on a
@@ -63,22 +86,59 @@ type Trace struct {
 // check the values; Validate does.
 func NewTrace(interval, totalMB float64, samples []Sample) *Trace {
 	t := makeTrace(interval, totalMB, len(samples))
-	for i, s := range samples {
-		t.cpu[i], t.free[i], t.kb[i] = s.CPU, s.FreeMB, s.Keyboard
+	lastActive := -RecruitmentDelay // pretend quiet before the trace
+	for b := range t.blocks {
+		blk := new(block)
+		for j, s := range samples[b*blockLen : b*blockLen+t.blockSize(b)] {
+			blk.cpu[j], blk.free[j], blk.kb[j] = s.CPU, s.FreeMB, s.Keyboard
+			blk.idle[j] = idleStep(&lastActive, float64(b*blockLen+j)*interval, s.CPU, s.Keyboard)
+		}
+		t.blocks[b].Store(blk)
 	}
 	return t
 }
 
-// makeTrace allocates a trace with n zero samples, for constructors in
-// this package that fill the columns in place.
+// makeTrace returns a trace of n samples with no block set, for
+// constructors in this package that fill the blocks.
 func makeTrace(interval, totalMB float64, n int) *Trace {
 	return &Trace{
 		interval: interval,
 		totalMB:  totalMB,
-		cpu:      make([]float64, n),
-		free:     make([]float64, n),
-		kb:       make([]bool, n),
+		n:        n,
+		blocks:   make([]atomic.Pointer[block], (n+blockMask)>>blockShift),
 	}
+}
+
+// blockSize returns the number of samples in block b.
+func (t *Trace) blockSize(b int) int { return min(blockLen, t.n-b*blockLen) }
+
+// block returns block b, synthesizing it first if no reader has yet, and
+// counts the samples that took in rec (nil counts nothing). A counter is
+// registered only once it has something to count, so a run that
+// synthesizes nothing leaves no trace counters behind.
+func (t *Trace) block(b int, rec *obs.Recorder) *block {
+	if p := t.blocks[b].Load(); p != nil {
+		return p
+	}
+	p, adv, fill := t.fill(b)
+	if adv > 0 {
+		rec.Counter(obs.TraceSamplesAdvanced).Add(int64(adv))
+	}
+	if fill > 0 {
+		rec.Counter(obs.TraceSamplesFilled).Add(int64(fill))
+	}
+	return p
+}
+
+// idleStep applies the recruitment threshold to the sample at now seconds:
+// it records the sample as activity when the keyboard was touched or the
+// CPU reached RecruitmentCPU, and reports whether the machine has then
+// been quiet for RecruitmentDelay seconds.
+func idleStep(lastActive *float64, now, cpu float64, kb bool) bool {
+	if kb || cpu >= RecruitmentCPU {
+		*lastActive = now
+	}
+	return now-*lastActive >= RecruitmentDelay
 }
 
 // Interval returns the seconds between samples.
@@ -88,11 +148,15 @@ func (t *Trace) Interval() float64 { return t.interval }
 func (t *Trace) TotalMB() float64 { return t.totalMB }
 
 // Len returns the number of samples.
-func (t *Trace) Len() int { return len(t.cpu) }
+func (t *Trace) Len() int { return t.n }
 
 // Sample returns sample i. It panics if i is out of range.
 func (t *Trace) Sample(i int) Sample {
-	return Sample{CPU: t.cpu[i], FreeMB: t.free[i], Keyboard: t.kb[i]}
+	if uint(i) >= uint(t.n) {
+		panic(fmt.Sprintf("trace: sample %d out of range [0,%d)", i, t.n))
+	}
+	blk, j := t.block(i>>blockShift, nil), i&blockMask
+	return Sample{CPU: blk.cpu[j], FreeMB: blk.free[j], Keyboard: blk.kb[j]}
 }
 
 // Duration returns the trace length in seconds.
@@ -131,35 +195,47 @@ func (t *Trace) UtilizationAt(at float64) float64 {
 	if i < 0 {
 		panic("trace: UtilizationAt on empty trace")
 	}
-	return t.cpu[i]
+	return t.block(i>>blockShift, nil).cpu[i&blockMask]
 }
 
-// IdleMask computes the recruitment-threshold idle flag for every sample:
+// IdleMask returns the recruitment-threshold idle flag of every sample:
 // sample i is idle when the CPU stayed below RecruitmentCPU and the
 // keyboard was untouched for the previous RecruitmentDelay seconds. The
 // trace is treated as starting after a long quiet period, so a quiet
-// prefix counts as idle.
+// prefix counts as idle. The slice is the caller's own.
 func (t *Trace) IdleMask() []bool {
-	cpu, kb := t.cpu, t.kb[:len(t.cpu)]
-	mask := make([]bool, len(cpu))
-	lastActive := -RecruitmentDelay // pretend quiet before the trace
-	for i, c := range cpu {
-		now := float64(i) * t.interval
-		if kb[i] || c >= RecruitmentCPU {
-			lastActive = now
-		}
-		mask[i] = now-lastActive >= RecruitmentDelay
+	mask := make([]bool, 0, t.n)
+	for b := range t.blocks {
+		mask = append(mask, t.block(b, nil).idle[:t.blockSize(b)]...)
 	}
 	return mask
 }
 
-// sharedIdleMask returns the memoized idle mask, computing it on first
-// use. The returned slice is shared across every View of the trace and
-// must be treated as read-only; IdleMask stays available for callers that
-// need a private copy.
-func (t *Trace) sharedIdleMask() []bool {
-	t.maskOnce.Do(func() { t.maskMemo = t.IdleMask() })
-	return t.maskMemo
+// fillCorpus sets every block of every trace, on min(traces, GOMAXPROCS)
+// goroutines, for the readers that need whole traces.
+func fillCorpus(traces []*Trace) {
+	forEach(len(traces), func(i int) {
+		for b := range traces[i].blocks {
+			traces[i].block(b, nil)
+		}
+	})
+}
+
+// forEach calls fn(i) for every i in [0, n) on min(n, GOMAXPROCS)
+// goroutines and returns when all calls have.
+func forEach(n int, fn func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(n, runtime.GOMAXPROCS(0)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // Episode is a maximal run of consecutive idle or non-idle samples.
@@ -199,7 +275,10 @@ func Episodes(mask []bool, interval float64) []Episode {
 type View struct {
 	trace  *Trace
 	offset float64
-	mask   []bool
+
+	// Synthesis caused by reads through this view is counted here (nil
+	// counts nothing); see Prefill.
+	rec *obs.Recorder
 }
 
 // NewView returns a view of tr starting at offset seconds (wrapped).
@@ -207,26 +286,64 @@ func NewView(tr *Trace, offset float64) *View {
 	if tr.Len() == 0 {
 		panic("trace: NewView on empty trace")
 	}
-	return &View{trace: tr, offset: offset, mask: tr.sharedIdleMask()}
+	return &View{trace: tr, offset: offset}
+}
+
+// Prefill fills the block each view starts in and counts that synthesis,
+// and every later fill that a read through one of the views causes, in
+// rec (nil counts nothing): trace.samples.advanced counts the samples the
+// generator stepped through without storing, trace.samples.filled the
+// samples it stored. Each trace's blocks are filled in ascending order on
+// one goroutine, the traces on min(traces, GOMAXPROCS) goroutines; blocks
+// beyond the first fill when a read first reaches them.
+func Prefill(views []*View, rec *obs.Recorder) {
+	starts := make(map[*Trace][]int)
+	var traces []*Trace
+	for _, v := range views {
+		v.rec = rec
+		tr := v.trace
+		if _, ok := starts[tr]; !ok {
+			traces = append(traces, tr)
+		}
+		starts[tr] = append(starts[tr], tr.index(v.offset)>>blockShift)
+	}
+	forEach(len(traces), func(i int) {
+		bs := starts[traces[i]]
+		slices.Sort(bs)
+		for _, b := range bs {
+			traces[i].block(b, rec)
+		}
+	})
 }
 
 // Trace returns the underlying trace.
 func (v *View) Trace() *Trace { return v.trace }
 
+// sample returns the block and in-block position of view time t.
+func (v *View) sample(t float64) (*block, int) {
+	i := v.trace.index(v.offset + t)
+	return v.trace.block(i>>blockShift, v.rec), i & blockMask
+}
+
 // UtilizationAt returns CPU utilization at view time t.
 func (v *View) UtilizationAt(t float64) float64 {
-	return v.trace.UtilizationAt(v.offset + t)
+	blk, j := v.sample(t)
+	return blk.cpu[j]
 }
 
 // SampleAt returns the full sample at view time t.
-func (v *View) SampleAt(t float64) Sample { return v.trace.At(v.offset + t) }
+func (v *View) SampleAt(t float64) Sample {
+	blk, j := v.sample(t)
+	return Sample{CPU: blk.cpu[j], FreeMB: blk.free[j], Keyboard: blk.kb[j]}
+}
 
 // IdleAt reports the recruitment-threshold idle state at view time t.
 //
 // Note: wrapping means the mask's quiet-prefix assumption also applies at
 // the wrap point; with multi-day traces the bias is negligible.
 func (v *View) IdleAt(t float64) bool {
-	return v.mask[v.trace.index(v.offset+t)]
+	blk, j := v.sample(t)
+	return blk.idle[j]
 }
 
 // Interval returns the sampling interval of the underlying trace.
@@ -240,12 +357,13 @@ func (t *Trace) Validate() error {
 	if t.totalMB <= 0 {
 		return fmt.Errorf("trace: non-positive memory size %g", t.totalMB)
 	}
-	for i, c := range t.cpu {
-		if c < 0 || c > 1 {
-			return fmt.Errorf("trace: sample %d CPU %g out of [0,1]", i, c)
+	for i := range t.n {
+		s := t.Sample(i)
+		if s.CPU < 0 || s.CPU > 1 {
+			return fmt.Errorf("trace: sample %d CPU %g out of [0,1]", i, s.CPU)
 		}
-		if f := t.free[i]; f < 0 || f > t.totalMB {
-			return fmt.Errorf("trace: sample %d free memory %g out of [0,%g]", i, f, t.totalMB)
+		if s.FreeMB < 0 || s.FreeMB > t.totalMB {
+			return fmt.Errorf("trace: sample %d free memory %g out of [0,%g]", i, s.FreeMB, t.totalMB)
 		}
 	}
 	return nil
