@@ -566,31 +566,15 @@ func (r *reporter) fig7and8(corpus []*trace.Trace, tpDur float64) error {
 			})
 		}
 		fmt.Fprintln(r.w)
-		// Figure 8 breakdown from a fresh batch run per policy, one pool
-		// task per policy (each simulation seeds itself from the config).
+		// Figure 8 breakdown from the same batch runs as the table above.
 		fmt.Fprintf(r.w, "Figure 8 state breakdown (avg seconds per job):\n\n")
 		fmt.Fprintf(r.w, "| policy | queued | running | lingering | paused | migrating |\n|---|---|---|---|---|---|\n")
-		results, err := exp.RunSweep(cfg.Exec, "fig8", len(core.Policies), func(i int) (cluster.Result, error) {
-			c := cfg
-			c.Policy = core.Policies[i]
-			c.Exec = nil
-			res, err := cluster.Run(c, corpus)
-			if err != nil {
-				return cluster.Result{}, err
-			}
-			out := *res
-			out.Jobs = nil // metrics only; keep checkpoint snapshots small
-			return out, nil
-		})
-		if err != nil {
-			return err
-		}
-		for i, p := range core.Policies {
-			b := results[i].Breakdown
-			fmt.Fprintf(r.w, "| %v | %.0f | %.0f | %.0f | %.0f | %.0f |\n",
-				p, b.Queued, b.Running, b.Lingering, b.Paused, b.Migrating)
+		for _, row := range rows {
+			b := row.Breakdown
+			fmt.Fprintf(r.w, "| %s | %.0f | %.0f | %.0f | %.0f | %.0f |\n",
+				row.Policy, b.Queued, b.Running, b.Lingering, b.Paused, b.Migrating)
 			jpts = append(jpts, Point{
-				"table": "fig8", "workload": jnum(float64(wl)), "policy": p.String(),
+				"table": "fig8", "workload": jnum(float64(wl)), "policy": row.Policy,
 				"queued": jnum(b.Queued), "running": jnum(b.Running), "lingering": jnum(b.Lingering),
 				"paused": jnum(b.Paused), "migrating": jnum(b.Migrating),
 			})

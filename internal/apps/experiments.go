@@ -106,9 +106,8 @@ type Fig13Config struct {
 	ClusterSize int     // the paper: 16
 	NonIdleUtil float64 // the paper: 0.20
 	Seed        int64
-	Workers     int // sweep worker-pool size; <= 0 selects GOMAXPROCS
-	// Exec, when non-nil, supplies the sweep execution policy (pool size,
-	// retries, watchdog, checkpointing) and takes precedence over Workers.
+	// Exec supplies the sweep execution policy (pool size, retries,
+	// watchdog, checkpointing); nil selects a plain GOMAXPROCS pool.
 	Exec *exp.Runner
 }
 
@@ -125,8 +124,7 @@ func Fig13(cfg Fig13Config) ([]Fig13Point, error) {
 		return nil, fmt.Errorf("apps: ClusterSize must be positive, got %d", cfg.ClusterSize)
 	}
 	profiles := Profiles()
-	r := exp.Or(cfg.Exec, cfg.Workers)
-	base, err := baselines(r, "fig13/base", exp.DeriveSeed(cfg.Seed, 0), cfg.ClusterSize)
+	base, err := baselines(cfg.Exec, "fig13/base", exp.DeriveSeed(cfg.Seed, 0), cfg.ClusterSize)
 	if err != nil {
 		return nil, err
 	}
@@ -134,7 +132,7 @@ func Fig13(cfg Fig13Config) ([]Fig13Point, error) {
 	perProfile := cfg.ClusterSize + 1
 	n := len(profiles) * perProfile
 	ptsMaster := exp.DeriveSeed(cfg.Seed, 1)
-	return exp.RunSeeded(r, "fig13/points", ptsMaster, n, func(i int, rng *stats.RNG) (Fig13Point, error) {
+	return exp.RunSeeded(cfg.Exec, "fig13/points", ptsMaster, n, func(i int, rng *stats.RNG) (Fig13Point, error) {
 		p := profiles[i/perProfile]
 		idle := cfg.ClusterSize - i%perProfile
 		pt := Fig13Point{App: p.Name, IdleNodes: idle}
@@ -144,7 +142,7 @@ func Fig13(cfg Fig13Config) ([]Fig13Point, error) {
 			if err != nil {
 				return 0, err
 			}
-			c.Rec = r.Recorder()
+			c.Rec = cfg.Exec.Recorder()
 			utils := make([]float64, procs)
 			for k := 0; k < nonIdle && k < procs; k++ {
 				utils[k] = cfg.NonIdleUtil

@@ -136,8 +136,7 @@ func FigHybrid(cfg Fig13Config) ([]HybridPoint, error) {
 		return nil, err
 	}
 	profiles := Profiles()
-	r := exp.Or(cfg.Exec, cfg.Workers)
-	base, err := baselines(r, "hybrid/base", exp.DeriveSeed(cfg.Seed, 2), cfg.ClusterSize)
+	base, err := baselines(cfg.Exec, "hybrid/base", exp.DeriveSeed(cfg.Seed, 2), cfg.ClusterSize)
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +144,7 @@ func FigHybrid(cfg Fig13Config) ([]HybridPoint, error) {
 	perProfile := cfg.ClusterSize + 1
 	n := len(profiles) * perProfile
 	ptsMaster := exp.DeriveSeed(cfg.Seed, 3)
-	return exp.RunSeeded(r, "hybrid/points", ptsMaster, n, func(i int, rng *stats.RNG) (HybridPoint, error) {
+	return exp.RunSeeded(cfg.Exec, "hybrid/points", ptsMaster, n, func(i int, rng *stats.RNG) (HybridPoint, error) {
 		p := profiles[i/perProfile]
 		idle := cfg.ClusterSize - i%perProfile
 
@@ -157,7 +156,7 @@ func FigHybrid(cfg Fig13Config) ([]HybridPoint, error) {
 		if err != nil {
 			return HybridPoint{}, err
 		}
-		c.Rec = r.Recorder()
+		c.Rec = cfg.Exec.Recorder()
 		nonIdle := choice.Procs - idle
 		if nonIdle < 0 {
 			nonIdle = 0

@@ -3,14 +3,15 @@
 // of the latest committed snapshot, the CI regression gate, and the
 // Markdown rendering the README results table is generated from.
 //
-// A snapshot is produced by cmd/llbench and records one run of the fixed
-// three-suite benchmark: the node burst-loop microbenchmark (with the
-// retained per-burst reference as its baseline), a Figure 7-style cluster
-// batch run, and an llserve warm/cold request mix. Snapshots are
-// committed at the repository root as BENCH_001.json, BENCH_002.json, …
-// so the sequence forms a benchmark trajectory: every performance-relevant
-// PR appends one file, and the trajectory is diffable, plottable, and
-// gatable. BENCHMARKS.md documents the workflow.
+// A snapshot is produced by cmd/llbench, the node gate, and records one
+// run of the node burst-loop microbenchmark with the retained per-burst
+// reference as its baseline. The end-to-end benchmark is perfbench, which
+// keeps its own results; the cluster and serve blocks here are read only
+// from the snapshots that recorded them (BENCH_006, BENCH_007). Snapshots
+// are committed at the repository root as BENCH_001.json,
+// BENCH_002.json, … so the sequence forms a benchmark trajectory: every
+// performance-relevant PR appends one file, and the trajectory is
+// diffable, plottable, and gatable. BENCHMARKS.md documents the workflow.
 package bench
 
 import (
@@ -37,24 +38,27 @@ const GateTolerance = 0.15
 
 // Snapshot is one benchmark run: the unit of the trajectory.
 type Snapshot struct {
-	SchemaVersion int    `json:"schemaVersion"`
-	ID            int    `json:"id"`    // the <n> of BENCH_<n>.json
-	Seed          int64  `json:"seed"`  // master seed of the run
-	Quick         bool   `json:"quick"` // true when run with -quick
-	GoVersion     string `json:"goVersion"`
-	GOOS          string `json:"goos"`
-	GOARCH        string `json:"goarch"`
+	SchemaVersion int `json:"schemaVersion"`
+	ID            int `json:"id"` // the <n> of BENCH_<n>.json
+	// Seed and Quick are the master seed and -quick mode of the retired
+	// cluster and serve suites. They stay so BENCH_006 and BENCH_007 load
+	// under DisallowUnknownFields; llbench leaves them unset.
+	Seed      int64  `json:"seed,omitempty"`
+	Quick     bool   `json:"quick,omitempty"`
+	GoVersion string `json:"goVersion"`
+	GOOS      string `json:"goos"`
+	GOARCH    string `json:"goarch"`
 	// Notes is free-form context for the trajectory reader, typically the
 	// PR that produced the snapshot and what changed.
 	Notes string `json:"notes,omitempty"`
 
-	// Engine is the retired event-dispatch microbenchmark, recorded by
-	// BENCH_006 and BENCH_007. It is optional (a pointer, omitted when
+	// Engine, Cluster and Serve are the retired suites, recorded by
+	// BENCH_006 and BENCH_007. They are optional (pointers, omitted when
 	// absent) so those snapshots still load and render under the same
-	// schema version, while new snapshots leave it out.
-	Engine  *EngineSuite `json:"engine,omitempty"`
-	Cluster ClusterSuite `json:"cluster"`
-	Serve   ServeSuite   `json:"serve"`
+	// schema version, while new snapshots leave them out.
+	Engine  *EngineSuite  `json:"engine,omitempty"`
+	Cluster *ClusterSuite `json:"cluster,omitempty"`
+	Serve   *ServeSuite   `json:"serve,omitempty"`
 
 	// Node is the fine-grain burst-loop microbenchmark, added with
 	// BENCH_007. The field is optional (a pointer, omitted when absent) so
@@ -97,10 +101,11 @@ type EngineSuite struct {
 	SpeedupVsHeap   float64 `json:"speedupVsHeap"`
 }
 
-// ClusterSuite is the Figure 7-style batch run: NumJobs foreign jobs
-// submitted at t=0 on a cluster, simulated to family completion. The
+// ClusterSuite is the retired Figure 7-style batch run: NumJobs foreign
+// jobs submitted at t=0 on a cluster, simulated to family completion. The
 // latency metrics are over per-job completion times in simulated seconds;
-// WallSeconds is the real time the simulation took.
+// WallSeconds is the real time the simulation took. perfbench's tourney
+// workload now measures cluster runs end to end.
 type ClusterSuite struct {
 	Nodes           int     `json:"nodes"`
 	Jobs            int     `json:"jobs"`
@@ -112,11 +117,13 @@ type ClusterSuite struct {
 	JobsPerSec      float64 `json:"jobsPerSec"` // completed jobs per wall second
 }
 
-// ServeSuite is the llserve warm/cold request mix: the same seeded request
-// stream is replayed twice against one in-process server, so Cold measures
-// simulate-and-fill and Warm measures cache hits. Because responses are
-// pure functions of the canonical request, the two phases' result digests
-// must match — DigestsMatch records that check and Validate enforces it.
+// ServeSuite is the retired llserve warm/cold request mix: the same seeded
+// request stream was replayed twice against one in-process server, so Cold
+// measures simulate-and-fill and Warm measures cache hits. Because
+// responses are pure functions of the canonical request, the two phases'
+// result digests must match — DigestsMatch records that check and
+// Validate enforces it. perfbench's serve-cold and serve-warm workloads
+// now measure the service end to end.
 type ServeSuite struct {
 	Requests     int        `json:"requests"` // per phase
 	Concurrency  int        `json:"concurrency"`
@@ -135,10 +142,11 @@ type ServePhase struct {
 	Digest       string  `json:"digest"` // sha256 over (index, status, body-hash)
 }
 
-// Validate checks the snapshot strictly: every metric a downstream
-// consumer (the gate, the README table) reads must be present and
-// plausible, and the determinism invariants (no errors, matching digests)
-// must hold. A snapshot that fails Validate must not be committed.
+// Validate checks the snapshot strictly: it must carry at least one suite,
+// every metric a downstream consumer (the gate, the README table) reads
+// in a suite it carries must be present and plausible, and a serve
+// suite's determinism invariants (no errors, matching digests) must hold.
+// A snapshot that fails Validate must not be committed.
 func (s *Snapshot) Validate() error {
 	if s.SchemaVersion != SchemaVersion {
 		return fmt.Errorf("bench: schemaVersion %d, want %d", s.SchemaVersion, SchemaVersion)
@@ -148,6 +156,9 @@ func (s *Snapshot) Validate() error {
 	}
 	if s.GoVersion == "" || s.GOOS == "" || s.GOARCH == "" {
 		return errors.New("bench: goVersion/goos/goarch must be recorded")
+	}
+	if s.Engine == nil && s.Node == nil && s.Cluster == nil && s.Serve == nil {
+		return errors.New("bench: snapshot carries no suite")
 	}
 	if e := s.Engine; e != nil {
 		switch {
@@ -163,16 +174,17 @@ func (s *Snapshot) Validate() error {
 			return fmt.Errorf("bench: engine.speedupVsHeap must be positive, got %g", e.SpeedupVsHeap)
 		}
 	}
-	c := &s.Cluster
-	switch {
-	case c.Nodes <= 0 || c.Jobs <= 0:
-		return fmt.Errorf("bench: cluster nodes/jobs must be positive, got %d/%d", c.Nodes, c.Jobs)
-	case c.Policy == "":
-		return errors.New("bench: cluster.policy must be recorded")
-	case c.MeanCompletionS <= 0 || c.P95CompletionS <= 0:
-		return errors.New("bench: cluster completion latencies must be positive")
-	case c.WallSeconds <= 0:
-		return errors.New("bench: cluster.wallSeconds must be positive")
+	if c := s.Cluster; c != nil {
+		switch {
+		case c.Nodes <= 0 || c.Jobs <= 0:
+			return fmt.Errorf("bench: cluster nodes/jobs must be positive, got %d/%d", c.Nodes, c.Jobs)
+		case c.Policy == "":
+			return errors.New("bench: cluster.policy must be recorded")
+		case c.MeanCompletionS <= 0 || c.P95CompletionS <= 0:
+			return errors.New("bench: cluster completion latencies must be positive")
+		case c.WallSeconds <= 0:
+			return errors.New("bench: cluster.wallSeconds must be positive")
+		}
 	}
 	if n := s.Node; n != nil {
 		switch {
@@ -188,30 +200,31 @@ func (s *Snapshot) Validate() error {
 			return fmt.Errorf("bench: node.speedupVsRef must be positive, got %g", n.SpeedupVsRef)
 		}
 	}
-	v := &s.Serve
-	if v.Requests <= 0 || v.Concurrency <= 0 {
-		return fmt.Errorf("bench: serve requests/concurrency must be positive, got %d/%d", v.Requests, v.Concurrency)
-	}
-	for _, ph := range []struct {
-		name string
-		p    *ServePhase
-	}{{"cold", &v.Cold}, {"warm", &v.Warm}} {
-		switch {
-		case ph.p.ReqPerSec <= 0:
-			return fmt.Errorf("bench: serve.%s.reqPerSec must be positive, got %g", ph.name, ph.p.ReqPerSec)
-		case ph.p.MeanLatencyS <= 0 || ph.p.P95LatencyS <= 0:
-			return fmt.Errorf("bench: serve.%s latencies must be positive", ph.name)
-		case ph.p.Errors != 0:
-			return fmt.Errorf("bench: serve.%s recorded %d errors; a committed snapshot must be error-free", ph.name, ph.p.Errors)
-		case !strings.HasPrefix(ph.p.Digest, "sha256:"):
-			return fmt.Errorf("bench: serve.%s.digest %q must start with sha256:", ph.name, ph.p.Digest)
+	if v := s.Serve; v != nil {
+		if v.Requests <= 0 || v.Concurrency <= 0 {
+			return fmt.Errorf("bench: serve requests/concurrency must be positive, got %d/%d", v.Requests, v.Concurrency)
 		}
-	}
-	if !v.DigestsMatch {
-		return errors.New("bench: serve cold/warm digests differ — the cached==fresh contract is broken")
-	}
-	if v.Cold.Digest != v.Warm.Digest {
-		return errors.New("bench: digestsMatch is set but the recorded digests differ")
+		for _, ph := range []struct {
+			name string
+			p    *ServePhase
+		}{{"cold", &v.Cold}, {"warm", &v.Warm}} {
+			switch {
+			case ph.p.ReqPerSec <= 0:
+				return fmt.Errorf("bench: serve.%s.reqPerSec must be positive, got %g", ph.name, ph.p.ReqPerSec)
+			case ph.p.MeanLatencyS <= 0 || ph.p.P95LatencyS <= 0:
+				return fmt.Errorf("bench: serve.%s latencies must be positive", ph.name)
+			case ph.p.Errors != 0:
+				return fmt.Errorf("bench: serve.%s recorded %d errors; a committed snapshot must be error-free", ph.name, ph.p.Errors)
+			case !strings.HasPrefix(ph.p.Digest, "sha256:"):
+				return fmt.Errorf("bench: serve.%s.digest %q must start with sha256:", ph.name, ph.p.Digest)
+			}
+		}
+		if !v.DigestsMatch {
+			return errors.New("bench: serve cold/warm digests differ — the cached==fresh contract is broken")
+		}
+		if v.Cold.Digest != v.Warm.Digest {
+			return errors.New("bench: digestsMatch is set but the recorded digests differ")
+		}
 	}
 	return nil
 }
@@ -226,9 +239,9 @@ func (s *Snapshot) Validate() error {
 // last ratio is measured within one process, so it holds on a slower
 // machine where the absolute floor cannot. A snapshot without a node
 // suite on either side is itself a violation, so the gate never passes
-// vacuously. Other metrics are trajectory data, not gates: cluster and
-// serve numbers shift with suite sizing and machine load, so they are
-// recorded and read by humans instead.
+// vacuously. The node suite is all llbench measures now; end-to-end
+// cluster and serve costs are perfbench's, whose workloads carry their
+// own bounds. The retired blocks of older snapshots are never gated.
 func Compare(base, cur *Snapshot) []string {
 	var bad []string
 	if base.Node == nil {
@@ -365,10 +378,6 @@ func (s *Snapshot) Save(path string) error {
 // committed BENCH file.
 func (s *Snapshot) Markdown() string {
 	var b strings.Builder
-	mode := "full"
-	if s.Quick {
-		mode = "quick"
-	}
 	fmt.Fprintf(&b, "| Suite | Metric | Value | Baseline |\n")
 	fmt.Fprintf(&b, "|---|---|---|---|\n")
 	if e := s.Engine; e != nil {
@@ -381,14 +390,26 @@ func (s *Snapshot) Markdown() string {
 		fmt.Fprintf(&b, "| node | burst loop (%.0f sim-s/op) | %.2fM sim-s/s, %.0f allocs/op | per-burst reference — **%.2fx** |\n",
 			n.SimSecondsPerOp, n.SimSecPerWallSec/1e6, n.AllocsPerOp, n.SpeedupVsRef)
 	}
-	fmt.Fprintf(&b, "| cluster | %s batch, %d nodes x %d jobs | mean %.0f s, P95 %.0f s (simulated) | wall %.2f s |\n",
-		s.Cluster.Policy, s.Cluster.Nodes, s.Cluster.Jobs, s.Cluster.MeanCompletionS, s.Cluster.P95CompletionS, s.Cluster.WallSeconds)
-	fmt.Fprintf(&b, "| serve | cold (simulate+fill) | %.0f req/s, P95 %.2f ms | %d requests, %d workers |\n",
-		s.Serve.Cold.ReqPerSec, s.Serve.Cold.P95LatencyS*1e3, s.Serve.Requests, s.Serve.Concurrency)
-	fmt.Fprintf(&b, "| serve | warm (cache hits) | %.0f req/s, P95 %.2f ms | digest == cold ✓ |\n",
-		s.Serve.Warm.ReqPerSec, s.Serve.Warm.P95LatencyS*1e3)
-	fmt.Fprintf(&b, "\nSnapshot `%s` (%s mode, seed %d, %s/%s, %s).\n",
-		Filename(s.ID), mode, s.Seed, s.GOOS, s.GOARCH, s.GoVersion)
+	if c := s.Cluster; c != nil {
+		fmt.Fprintf(&b, "| cluster | %s batch, %d nodes x %d jobs | mean %.0f s, P95 %.0f s (simulated) | wall %.2f s |\n",
+			c.Policy, c.Nodes, c.Jobs, c.MeanCompletionS, c.P95CompletionS, c.WallSeconds)
+	}
+	if v := s.Serve; v != nil {
+		fmt.Fprintf(&b, "| serve | cold (simulate+fill) | %.0f req/s, P95 %.2f ms | %d requests, %d workers |\n",
+			v.Cold.ReqPerSec, v.Cold.P95LatencyS*1e3, v.Requests, v.Concurrency)
+		fmt.Fprintf(&b, "| serve | warm (cache hits) | %.0f req/s, P95 %.2f ms | digest == cold ✓ |\n",
+			v.Warm.ReqPerSec, v.Warm.P95LatencyS*1e3)
+	}
+	fmt.Fprintf(&b, "\nSnapshot `%s` (", Filename(s.ID))
+	if s.Cluster != nil || s.Serve != nil {
+		// Mode and seed sized the retired suites; the node suite has neither.
+		mode := "full"
+		if s.Quick {
+			mode = "quick"
+		}
+		fmt.Fprintf(&b, "%s mode, seed %d, ", mode, s.Seed)
+	}
+	fmt.Fprintf(&b, "%s/%s, %s).\n", s.GOOS, s.GOARCH, s.GoVersion)
 	return b.String()
 }
 

@@ -8,30 +8,38 @@ import (
 	"testing"
 )
 
-// valid returns a current-shape snapshot (node suite, no engine suite)
-// that passes Validate; tests mutate one field at a time to probe the
+// valid returns a current-shape snapshot (the node suite alone) that
+// passes Validate; tests mutate one field at a time to probe the
 // strictness.
 func valid() *Snapshot {
 	return &Snapshot{
 		SchemaVersion: SchemaVersion,
 		ID:            6,
-		Seed:          1,
 		GoVersion:     "go1.24.0",
 		GOOS:          "linux",
 		GOARCH:        "amd64",
-		Cluster: ClusterSuite{
-			Nodes: 64, Jobs: 128, Policy: "LL",
-			MeanCompletionS: 2500, P95CompletionS: 4100,
-			WallSeconds: 1.8, JobsPerSec: 71,
-		},
-		Serve: ServeSuite{
-			Requests: 400, Concurrency: 4, Mix: "decide=1,node=1,cluster=1",
-			Cold:         ServePhase{ReqPerSec: 900, MeanLatencyS: 0.004, P95LatencyS: 0.02, Digest: "sha256:ab"},
-			Warm:         ServePhase{ReqPerSec: 8000, MeanLatencyS: 0.0004, P95LatencyS: 0.001, Digest: "sha256:ab"},
-			DigestsMatch: true,
-		},
-		Node: validNode(),
+		Node:          validNode(),
 	}
+}
+
+// legacy returns the BENCH_006/007 shape: the current snapshot plus the
+// retired engine, cluster and serve suites and the seed that sized them.
+func legacy() *Snapshot {
+	s := valid()
+	s.Seed = 1
+	s.Engine = legacyEngine()
+	s.Cluster = &ClusterSuite{
+		Nodes: 64, Jobs: 128, Policy: "LL",
+		MeanCompletionS: 2500, P95CompletionS: 4100,
+		WallSeconds: 1.8, JobsPerSec: 71,
+	}
+	s.Serve = &ServeSuite{
+		Requests: 400, Concurrency: 4, Mix: "decide=1,node=1,cluster=1",
+		Cold:         ServePhase{ReqPerSec: 900, MeanLatencyS: 0.004, P95LatencyS: 0.02, Digest: "sha256:ab"},
+		Warm:         ServePhase{ReqPerSec: 8000, MeanLatencyS: 0.0004, P95LatencyS: 0.001, Digest: "sha256:ab"},
+		DigestsMatch: true,
+	}
+	return s
 }
 
 // validNode returns a plausible node-suite block (optional since
@@ -53,20 +61,19 @@ func legacyEngine() *EngineSuite {
 }
 
 func TestValidateAcceptsGood(t *testing.T) {
-	// The current shape: node suite, no engine suite...
+	// The current shape: the node suite alone...
 	if err := valid().Validate(); err != nil {
 		t.Fatalf("valid snapshot rejected: %v", err)
 	}
-	// ...the pre-BENCH_007 shape: engine suite, no node suite...
-	s := valid()
-	s.Engine, s.Node = legacyEngine(), nil
+	// ...BENCH_006's: engine, cluster and serve, no node suite...
+	s := legacy()
+	s.Node = nil
 	if err := s.Validate(); err != nil {
-		t.Fatalf("valid engine-only snapshot rejected: %v", err)
+		t.Fatalf("valid BENCH_006-shape snapshot rejected: %v", err)
 	}
-	// ...and BENCH_007's: both.
-	s.Node = validNode()
-	if err := s.Validate(); err != nil {
-		t.Fatalf("valid snapshot with both suites rejected: %v", err)
+	// ...and BENCH_007's: all four.
+	if err := legacy().Validate(); err != nil {
+		t.Fatalf("valid BENCH_007-shape snapshot rejected: %v", err)
 	}
 }
 
@@ -110,11 +117,12 @@ func TestValidateRejectsBad(t *testing.T) {
 		{"bad digest prefix", func(s *Snapshot) { s.Serve.Cold.Digest = "md5:zz" }},
 		{"digests differ", func(s *Snapshot) { s.Serve.Warm.Digest = "sha256:other" }},
 		{"digests not checked", func(s *Snapshot) { s.Serve.DigestsMatch = false }},
+		{"no suite", func(s *Snapshot) { s.Engine, s.Node, s.Cluster, s.Serve = nil, nil, nil, nil }},
 	}
 	for _, c := range cases {
-		// The engine suite is optional but, when present, still validated.
-		s := valid()
-		s.Engine = legacyEngine()
+		// The retired suites are optional but, when present, still
+		// validated.
+		s := legacy()
 		c.mut(s)
 		if err := s.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted a bad snapshot", c.name)
@@ -129,12 +137,13 @@ func TestCompareGate(t *testing.T) {
 		t.Fatalf("identical snapshots flagged: %v", bad)
 	}
 
-	// A legacy engine suite on either side is not gated.
-	cur := valid()
-	cur.Engine = legacyEngine()
+	// The retired suites on either side are not gated.
+	cur := legacy()
 	cur.Engine.EventsPerSec = 1
+	cur.Cluster.WallSeconds = 1e3
+	cur.Serve.Warm.ReqPerSec = 1
 	if bad := Compare(base, cur); len(bad) != 0 {
-		t.Fatalf("engine suite gated: %v", bad)
+		t.Fatalf("retired suites gated: %v", bad)
 	}
 
 	// 10% slower: within tolerance.
@@ -195,8 +204,8 @@ func TestCompareGate(t *testing.T) {
 	}
 
 	// No node suite on either side is a violation, never a vacuous pass.
-	noNode := valid()
-	noNode.Engine, noNode.Node = legacyEngine(), nil
+	noNode := legacy()
+	noNode.Node = nil
 	for _, c := range []struct {
 		name      string
 		base, cur *Snapshot
@@ -284,18 +293,21 @@ func TestLoadRejectsUnknownFieldsAndInvalid(t *testing.T) {
 
 func TestMarkdownMentionsHeadlines(t *testing.T) {
 	md := valid().Markdown()
-	for _, want := range []string{"3.20x", "BENCH_006.json", "64 nodes x 128 jobs", "req/s"} {
+	for _, want := range []string{"3.20x", "BENCH_006.json", "(linux/amd64, go1.24.0)"} {
 		if !strings.Contains(md, want) {
 			t.Errorf("Markdown missing %q:\n%s", want, md)
 		}
 	}
-	if strings.Contains(md, "| engine |") {
-		t.Errorf("Markdown renders an engine row without an engine suite:\n%s", md)
+	for _, absent := range []string{"| engine |", "| cluster |", "| serve |", "mode"} {
+		if strings.Contains(md, absent) {
+			t.Errorf("Markdown renders %q for a node-only snapshot:\n%s", absent, md)
+		}
 	}
-	s := valid()
-	s.Engine = legacyEngine()
-	if md := s.Markdown(); !strings.Contains(md, "3.50x") {
-		t.Errorf("Markdown omits a recorded engine suite:\n%s", md)
+	md = legacy().Markdown()
+	for _, want := range []string{"3.50x", "64 nodes x 128 jobs", "req/s", "full mode, seed 1"} {
+		if !strings.Contains(md, want) {
+			t.Errorf("Markdown omits a recorded retired suite (%q):\n%s", want, md)
+		}
 	}
 }
 

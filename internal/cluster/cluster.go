@@ -55,15 +55,11 @@ type Config struct {
 	MaxTime float64 // simulation horizon safety, seconds
 	Seed    int64
 
-	// Workers is the worker-pool size used by the batch drivers (Fig7)
-	// that run several independent simulations; <= 0 selects GOMAXPROCS.
-	// A single simulation is always sequential — Workers only fans out
+	// Exec supplies the sweep execution policy (pool size, retries,
+	// watchdog, checkpointing) for the batch drivers (Fig7) that run
+	// several independent simulations; nil selects a plain GOMAXPROCS
+	// pool. A single simulation is always sequential — Exec only fans out
 	// across policies and run kinds, so it never changes results.
-	Workers int
-
-	// Exec, when non-nil, supplies the sweep execution policy (pool size,
-	// retries, watchdog, checkpointing) for those drivers and takes
-	// precedence over Workers.
 	Exec *exp.Runner
 
 	// Rec, when non-nil, receives per-policy scheduling counters

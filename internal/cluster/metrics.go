@@ -140,7 +140,8 @@ func RunThroughput(cfg Config, corpus []*trace.Trace, dur float64) (*ThroughputR
 }
 
 // Fig7Row is one cell block of the Figure 7 table: the four metrics for
-// one policy under one workload.
+// one policy under one workload, plus the Figure 8 state breakdown of the
+// same batch run.
 type Fig7Row struct {
 	Policy        string
 	AvgCompletion float64
@@ -148,6 +149,7 @@ type Fig7Row struct {
 	FamilyTime    float64
 	Throughput    float64
 	LocalDelay    float64
+	Breakdown     StateBreakdown
 }
 
 // fig7Half is one task result of the Fig7 sweep: either a batch run or a
@@ -160,15 +162,15 @@ type fig7Half struct {
 }
 
 // Fig7 reproduces the Figure 7 table for one workload configuration:
-// batch metrics from Run plus throughput from a constant-population hour.
-// The cfg's Policy field is overridden for each of the four policies. The
-// eight underlying simulations (batch + throughput per policy) are
-// independent — every one seeds its own RNG from cfg.Seed — so they fan
-// out under cfg.Exec (or a plain pool of cfg.Workers goroutines) as sweep
-// "fig7" without changing any number.
+// batch metrics and the Figure 8 breakdown from Run, plus throughput from
+// a constant-population hour. The cfg's Policy field is overridden for
+// each of the four policies. The eight underlying simulations (batch +
+// throughput per policy) are independent — every one seeds its own RNG
+// from cfg.Seed — so they fan out under cfg.Exec (nil: a plain
+// GOMAXPROCS pool) as sweep "fig7" without changing any number.
 func Fig7(cfg Config, corpus []*trace.Trace, throughputDur float64) ([]Fig7Row, error) {
 	// Task 2k is policy k's batch run, task 2k+1 its throughput run.
-	halves, err := exp.RunSweep(exp.Or(cfg.Exec, cfg.Workers), "fig7", 2*len(core.Policies), func(i int) (fig7Half, error) {
+	halves, err := exp.RunSweep(cfg.Exec, "fig7", 2*len(core.Policies), func(i int) (fig7Half, error) {
 		c := cfg
 		c.Policy = core.Policies[i/2]
 		c.Exec = nil // the inner simulation never fans out
@@ -205,6 +207,7 @@ func Fig7(cfg Config, corpus []*trace.Trace, throughputDur float64) ([]Fig7Row, 
 			FamilyTime:    batch.FamilyTime,
 			Throughput:    tp.Throughput,
 			LocalDelay:    delay,
+			Breakdown:     batch.Breakdown,
 		})
 	}
 	return rows, nil

@@ -112,9 +112,9 @@ type Runner struct {
 	Attempts int
 	// Timeout is the per-attempt watchdog deadline; 0 disables it. A
 	// timed-out attempt is abandoned (its goroutine parks until the task
-	// returns — Go cannot kill it; the sim engine's event budget is the
-	// backstop that makes stuck models return) and counts against
-	// Attempts.
+	// returns — Go cannot kill it; cluster.Config.MaxTime and RunArrivals'
+	// *cluster.ArrivalBudgetError are the backstops that make stuck
+	// models return) and counts against Attempts.
 	Timeout time.Duration
 	// FailSoft makes a sweep run to completion even when points fail:
 	// failed points keep their zero value, the sweep returns nil error,
@@ -227,17 +227,6 @@ func (r *Runner) Recorder() *obs.Recorder {
 		return nil
 	}
 	return r.Rec
-}
-
-// Or returns r when non-nil, and otherwise a plain pool Runner of the
-// given size — the resolution rule for configs that carry an optional
-// Exec *Runner next to a legacy Workers int: the hardened runner, when
-// supplied, takes precedence.
-func Or(r *Runner, workers int) *Runner {
-	if r != nil {
-		return r
-	}
-	return &Runner{Workers: workers}
 }
 
 func joinSweep(prefix, sweep string) string {

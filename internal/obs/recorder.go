@@ -1,8 +1,8 @@
 package obs
 
-// Recorder is the narrow handle the instrumented layers (sim engine, node
-// scheduler, cluster policies, BSP simulator, §7 runtime, checkpoint
-// store, exp runner) accept. It bundles a metric registry with an
+// Recorder is the narrow handle the instrumented layers (node scheduler,
+// trace synthesis, cluster policies, BSP simulator, §7 runtime,
+// checkpoint store, exp runner) accept. It bundles a metric registry with an
 // optional event sink; either half may be absent.
 //
 // The zero value of the *pointer* is the off switch: every method on a

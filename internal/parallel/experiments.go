@@ -81,9 +81,8 @@ type ReconfigConfig struct {
 	MsgsPerPhase int
 	MsgLatency   float64
 	Seed         int64
-	Workers      int // sweep worker-pool size; <= 0 selects GOMAXPROCS
-	// Exec, when non-nil, supplies the sweep execution policy (pool size,
-	// retries, watchdog, checkpointing) and takes precedence over Workers.
+	// Exec supplies the sweep execution policy (pool size, retries,
+	// watchdog, checkpointing); nil selects a plain GOMAXPROCS pool.
 	Exec *exp.Runner
 }
 
@@ -159,14 +158,13 @@ func Fig11(c ReconfigConfig) ([]Fig11Point, error) {
 		return nil, fmt.Errorf("parallel: ClusterSize must be positive, got %d", c.ClusterSize)
 	}
 	n := c.ClusterSize + 1
-	run := exp.Or(c.Exec, c.Workers)
-	return exp.RunSeeded(run, "fig11", c.Seed, n, func(i int, rng *stats.RNG) (Fig11Point, error) {
+	return exp.RunSeeded(c.Exec, "fig11", c.Seed, n, func(i int, rng *stats.RNG) (Fig11Point, error) {
 		idle := c.ClusterSize - i
 		pt := Fig11Point{IdleNodes: idle, LL: make(map[int]float64)}
 
 		for _, k := range c.LLSizes {
 			cfg := c.jobFor(k)
-			cfg.Rec = run.Recorder()
+			cfg.Rec = c.Exec.Recorder()
 			// k processes: idle nodes first, lingering for the remainder.
 			nonIdle := k - idle
 			if nonIdle < 0 {
@@ -184,7 +182,7 @@ func Fig11(c ReconfigConfig) ([]Fig11Point, error) {
 			pt.Reconfig = infCompletion()
 		} else {
 			cfg := c.jobFor(kr)
-			cfg.Rec = run.Recorder()
+			cfg.Rec = c.Exec.Recorder()
 			tm, err := RunBSP(cfg, make([]float64, kr), rng)
 			if err != nil {
 				return Fig11Point{}, err

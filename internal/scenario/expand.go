@@ -189,22 +189,28 @@ func Expand(s *Spec, quick bool) (string, []exp.PointSpec, error) {
 // Task computes one scenario point — the exp.TaskFunc behind TaskName.
 // It is pure: all randomness derives from spec.Seed, and the output is
 // canonical JSON (ClusterPoint or NodePoint).
-func Task(spec exp.PointSpec) ([]byte, error) {
+func Task(spec exp.PointSpec) ([]byte, error) { return runPoint(spec, nil) }
+
+// runPoint computes one point as Task does and counts what it simulates
+// in rec (nil counts nothing): the cluster and node counters and the
+// trace samples synthesized. The counters are outputs only, so rec never
+// changes the bytes.
+func runPoint(spec exp.PointSpec, rec *obs.Recorder) ([]byte, error) {
 	var p PointParams
 	if err := json.Unmarshal(spec.Params, &p); err != nil {
 		return nil, fmt.Errorf("scenario: point params: %w", err)
 	}
 	switch p.Kind {
 	case KindCluster:
-		return runClusterPoint(p, spec.Seed)
+		return runClusterPoint(p, spec.Seed, rec)
 	case KindNode:
-		return runNodePoint(p, spec.Seed)
+		return runNodePoint(p, spec.Seed, rec)
 	default:
 		return nil, fmt.Errorf("scenario: point kind %q (want %q or %q)", p.Kind, KindCluster, KindNode)
 	}
 }
 
-func runClusterPoint(p PointParams, seed int64) ([]byte, error) {
+func runClusterPoint(p PointParams, seed int64, rec *obs.Recorder) ([]byte, error) {
 	pe, ok := Policies.Lookup(p.Policy)
 	if !ok {
 		return nil, fmt.Errorf("scenario: policy %q not registered (have %v)", p.Policy, Policies.Names())
@@ -228,6 +234,7 @@ func runClusterPoint(p PointParams, seed int64) ([]byte, error) {
 	cfg.PauseTime = p.Cluster.PauseTime
 	cfg.ContextSwitch = p.Cluster.ContextSwitch
 	cfg.MaxTime = p.Cluster.MaxTime
+	cfg.Rec = rec
 	tcfg := trace.DefaultConfig()
 	machines := p.Trace.Machines
 	tcfg.Days = p.Trace.Days
@@ -270,7 +277,7 @@ func runClusterPoint(p PointParams, seed int64) ([]byte, error) {
 	})
 }
 
-func runNodePoint(p PointParams, seed int64) ([]byte, error) {
+func runNodePoint(p PointParams, seed int64, rec *obs.Recorder) ([]byte, error) {
 	c := p.Node
 	if c == nil {
 		return nil, fmt.Errorf("scenario: node point without a cell")
@@ -279,7 +286,7 @@ func runNodePoint(p PointParams, seed int64) ([]byte, error) {
 		return nil, fmt.Errorf("scenario: node duration %g must be positive", c.Duration)
 	}
 	n := node.New(
-		node.Config{ContextSwitch: c.ContextSwitch, BurstLookahead: 64},
+		node.Config{ContextSwitch: c.ContextSwitch, BurstLookahead: 64, Rec: rec},
 		workload.DefaultTable(),
 		workload.ConstantUtilization(c.Utilization),
 		stats.NewRNG(seed),
@@ -296,7 +303,8 @@ func runNodePoint(p PointParams, seed int64) ([]byte, error) {
 // Run computes scenario points on a local worker pool, returning results
 // in index order — byte-identical for any workers value (each point is a
 // pure function of its spec). workers <= 0 selects GOMAXPROCS. rec, when
-// non-nil, counts computed points under scenario.runs.
+// non-nil, counts computed points under scenario.runs and receives each
+// point's simulation counters (see runPoint).
 func Run(workers int, specs []exp.PointSpec, rec *obs.Recorder) ([][]byte, error) {
 	for i, spec := range specs {
 		if spec.Task != TaskName {
@@ -307,7 +315,7 @@ func Run(workers int, specs []exp.PointSpec, rec *obs.Recorder) ([][]byte, error
 		}
 	}
 	results, err := exp.Map(workers, len(specs), func(i int) ([]byte, error) {
-		return Task(specs[i])
+		return runPoint(specs[i], rec)
 	})
 	if err != nil {
 		return nil, err

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"lingerlonger/internal/obs"
 )
 
 // fakeResults marshals one ClusterPoint per (workload, policy) cell with
@@ -246,6 +248,54 @@ func TestTournamentEndToEndDeterministic(t *testing.T) {
 	}
 	if !strings.Contains(string(serial), `"digest"`) {
 		t.Error("report is missing its digest")
+	}
+}
+
+// Run hands its recorder to every point, so a tournament's -metrics dump
+// counts what the cells simulate, not only the cells themselves. The
+// counters are sums of per-point tallies, identical for any worker count,
+// and recording them never changes a result byte.
+func TestRunRecordsPointCounters(t *testing.T) {
+	_, specs, err := BuildTournament(TournamentConfig{Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := Run(4, specs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var counters []map[string]int64
+	for _, workers := range []int{1, 8} {
+		rec := obs.New(obs.NewRegistry(), nil)
+		results, err := Run(workers, specs, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range results {
+			if !bytes.Equal(results[i], plain[i]) {
+				t.Fatalf("workers=%d: point %d differs from the nil-recorder run:\n%s\n%s",
+					workers, i, results[i], plain[i])
+			}
+		}
+		counters = append(counters, rec.Registry().CounterValues())
+	}
+	for _, name := range []string{
+		obs.Labeled(obs.ClusterPlacements, "policy", "LL"),
+		obs.TraceSamplesFilled,
+		obs.NodePreemptions,
+	} {
+		serial, pooled := counters[0][name], counters[1][name]
+		if serial == 0 || serial != pooled {
+			t.Errorf("%s: workers=1 counted %d, workers=8 %d; want equal and nonzero", name, serial, pooled)
+		}
+	}
+	if len(counters[0]) != len(counters[1]) {
+		t.Errorf("workers=1 registered %d counters, workers=8 %d", len(counters[0]), len(counters[1]))
+	}
+	for name, v := range counters[0] {
+		if counters[1][name] != v {
+			t.Errorf("counter %s: workers=1 has %d, workers=8 has %d", name, v, counters[1][name])
+		}
 	}
 }
 

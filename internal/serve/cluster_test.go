@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -246,6 +247,26 @@ func TestProxyProtocolRejections(t *testing.T) {
 	}
 }
 
+// ownerOf returns the replica that r's ring assigns the request to, as
+// r routes it when the request arrives on path.
+func ownerOf(t *testing.T, r *replica, path string, req any) string {
+	t.Helper()
+	data, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	endpoint := strings.TrimPrefix(path, "/v1/simulate/")
+	q, err := DecodeRequest(endpoint, data, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner, _, _ := r.srv.cluster.route(CacheKey(endpoint, q))
+	if owner == "" {
+		owner = r.addr
+	}
+	return owner
+}
+
 // waitCounter polls a counter until it reaches at least want.
 func waitCounter(t *testing.T, reg *obs.Registry, name string, want int64) {
 	t.Helper()
@@ -268,8 +289,22 @@ func waitCounter(t *testing.T, reg *obs.Registry, name string, want int64) {
 func TestClusterFailoverAndRejoin(t *testing.T) {
 	ref := referenceBytes(t)
 	reps := startCluster(t, 3)
-	victim := reps[2]
 	peers := []string{reps[0].addr, reps[1].addr, reps[2].addr}
+	// The failure detector learns of a death only from a failed proxy
+	// call, and the prober re-probes only peers already unhealthy. So the
+	// victim must own a test request, or the survivors never call it: kill
+	// the owner of the first one. The ring hashes the listeners' random
+	// ports, so a fixed victim owns none of them in about one run in a
+	// hundred.
+	first := testRequests()[0]
+	owner := ownerOf(t, reps[0], first.path, first.req)
+	for i := range reps {
+		if reps[i].addr == owner {
+			reps[i], reps[2] = reps[2], reps[i]
+			break
+		}
+	}
+	victim := reps[2]
 
 	checkAll := func(targets []*replica, phase string) {
 		t.Helper()
