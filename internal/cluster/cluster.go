@@ -352,11 +352,10 @@ func (s *simulation) spawnJob(at float64) {
 func (s *simulation) refreshWindow() {
 	check := s.cfg.MemoryCheck
 	for i := range s.nodes {
-		v := s.nodes[i].view
-		s.winUtil[i] = v.UtilizationAt(s.now)
-		s.winIdle[i] = v.IdleAt(s.now)
+		cpu, free, idle := s.nodes[i].view.Window(s.now)
+		s.winUtil[i], s.winIdle[i] = cpu, idle
 		if check {
-			s.winFree[i] = v.SampleAt(s.now).FreeMB
+			s.winFree[i] = free
 		}
 	}
 }

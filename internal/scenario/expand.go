@@ -56,6 +56,18 @@ type NodeCell struct {
 	Duration float64 `json:"dur"`
 }
 
+// check applies the node spec's range bounds to one cell; see
+// ClusterParams.check.
+func (c *NodeCell) check() error {
+	if err := checkCS(c.ContextSwitch); err != nil {
+		return err
+	}
+	if err := checkUtil(c.Utilization); err != nil {
+		return err
+	}
+	return checkDuration(c.Duration)
+}
+
 // ClusterPoint is the result document of a cluster scenario point. Its
 // field names and order are pinned by the golden reports; Workload is the
 // paper's workload number for legacy families and the registered name
@@ -225,6 +237,14 @@ func runClusterPoint(p PointParams, seed int64, rec *obs.Recorder) ([]byte, erro
 	if p.Cluster.MemoryCheck == nil {
 		return nil, fmt.Errorf("scenario: cluster point without cluster.memoryCheck")
 	}
+	// The spec's range bounds, before anything is allocated: a work RPC's
+	// params reach here without passing Normalize.
+	if err := p.Cluster.check(); err != nil {
+		return nil, err
+	}
+	if err := p.Trace.check(); err != nil {
+		return nil, err
+	}
 	cfg := cluster.DefaultConfig()
 	cfg.Policy = pe.Policy
 	we.Apply(&cfg, p.Quick)
@@ -282,8 +302,8 @@ func runNodePoint(p PointParams, seed int64, rec *obs.Recorder) ([]byte, error) 
 	if c == nil {
 		return nil, fmt.Errorf("scenario: node point without a cell")
 	}
-	if c.Duration <= 0 {
-		return nil, fmt.Errorf("scenario: node duration %g must be positive", c.Duration)
+	if err := c.check(); err != nil {
+		return nil, err
 	}
 	n := node.New(
 		node.Config{ContextSwitch: c.ContextSwitch, BurstLookahead: 64, Rec: rec},

@@ -2,7 +2,10 @@ package scenario
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"testing"
 
 	"lingerlonger/internal/exp"
@@ -159,6 +162,78 @@ func TestTaskErrors(t *testing.T) {
 				t.Errorf("Task(%s) succeeded", tc.spec.Params)
 			}
 		})
+	}
+}
+
+// TestTaskChecksPointRanges feeds Task raw point params, as a work RPC
+// does, without Normalize. Params outside the spec's bounds must fail
+// with ErrInvalidSpec, even where a quick run would override them, and
+// params at and inside the bounds compute the bytes they always did: the
+// digests were taken before the bounds were applied to point params.
+func TestTaskChecksPointRanges(t *testing.T) {
+	mk := func(params string) exp.PointSpec {
+		return exp.PointSpec{Task: TaskName, Sweep: "x", Seed: 7, Params: []byte(params)}
+	}
+	cluster := func(c, tr string) exp.PointSpec {
+		return mk(`{"kind":"cluster","quick":true,"policy":"LL","workload":"w1","cluster":{` + c +
+			`,"memoryCheck":true},"trace":{` + tr + `}}`)
+	}
+	const okC = `"nodes":64,"jobMB":8,"pauseTime":30,"contextSwitch":0.0001,"maxTime":200000`
+	const okT = `"machines":16,"days":7`
+	bad := []struct {
+		name string
+		spec exp.PointSpec
+	}{
+		{"nodes 0", cluster(`"nodes":0,"jobMB":8,"pauseTime":30,"contextSwitch":0.0001,"maxTime":200000`, okT)},
+		{"nodes 4097", cluster(`"nodes":4097,"jobMB":8,"pauseTime":30,"contextSwitch":0.0001,"maxTime":200000`, okT)},
+		{"nodes 2^40", cluster(`"nodes":1099511627776,"jobMB":8,"pauseTime":30,"contextSwitch":0.0001,"maxTime":200000`, okT)},
+		{"jobMB -1", cluster(`"nodes":64,"jobMB":-1,"pauseTime":30,"contextSwitch":0.0001,"maxTime":200000`, okT)},
+		{"pauseTime 1e5", cluster(`"nodes":64,"jobMB":8,"pauseTime":1e5,"contextSwitch":0.0001,"maxTime":200000`, okT)},
+		{"contextSwitch 1", cluster(`"nodes":64,"jobMB":8,"pauseTime":30,"contextSwitch":1,"maxTime":200000`, okT)},
+		{"maxTime 0", cluster(`"nodes":64,"jobMB":8,"pauseTime":30,"contextSwitch":0.0001,"maxTime":0`, okT)},
+		{"maxTime 1e8", cluster(`"nodes":64,"jobMB":8,"pauseTime":30,"contextSwitch":0.0001,"maxTime":1e8`, okT)},
+		{"machines 0", cluster(okC, `"machines":0,"days":7`)},
+		{"machines 257", cluster(okC, `"machines":257,"days":7`)},
+		{"machines 2^40", cluster(okC, `"machines":1099511627776,"days":7`)},
+		{"days 0", cluster(okC, `"machines":16,"days":0`)},
+		{"days 32", cluster(okC, `"machines":16,"days":32`)},
+		{"days 2^40", cluster(okC, `"machines":16,"days":1099511627776`)},
+		{"node cs 0", mk(`{"kind":"node","node":{"cs":0,"util":0.3,"dur":200}}`)},
+		{"node cs 0.2", mk(`{"kind":"node","node":{"cs":0.2,"util":0.3,"dur":200}}`)},
+		{"node util -0.1", mk(`{"kind":"node","node":{"cs":0.0001,"util":-0.1,"dur":200}}`)},
+		{"node util 1", mk(`{"kind":"node","node":{"cs":0.0001,"util":1,"dur":200}}`)},
+		{"node dur 0", mk(`{"kind":"node","node":{"cs":0.0001,"util":0.3,"dur":0}}`)},
+		{"node dur 1e7", mk(`{"kind":"node","node":{"cs":0.0001,"util":0.3,"dur":1e7}}`)},
+	}
+	for _, tc := range bad {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := Task(tc.spec); !errors.Is(err, ErrInvalidSpec) {
+				t.Errorf("Task(%s) = %v, want an ErrInvalidSpec error", tc.spec.Params, err)
+			}
+		})
+	}
+
+	good := []struct {
+		spec   exp.PointSpec
+		digest string
+	}{
+		{cluster(`"nodes":4096,"jobMB":8,"pauseTime":30,"contextSwitch":0.0001,"maxTime":200000`, `"machines":256,"days":31`),
+			"6f606ce79e40eb67e323eb786767dc36ab8f1e45b750ab50e104151b603cf40f"},
+		{mk(`{"kind":"node","node":{"cs":0.1,"util":0.99,"dur":200}}`),
+			"ef1a64c3ab87dc373a25ded89f0d26589f4bd12c98e00a6e74e60275f39e86d3"},
+		{mk(`{"kind":"node","node":{"cs":0.0001,"util":0,"dur":200}}`),
+			"96d2ab90b2c162921ef700e8ef724a7d8ca81fcf73f87cef9d5c0a396b111393"},
+		{mk(`{"kind":"node","node":{"cs":0.0003,"util":0.5,"dur":200}}`),
+			"d7519506540030c207646bb5bf5728b2ae444fa1f1fe0902a2b7a4e72e54b96b"},
+	}
+	for _, tc := range good {
+		out, err := Task(tc.spec)
+		if err != nil {
+			t.Fatalf("Task(%s): %v", tc.spec.Params, err)
+		}
+		if sum := sha256.Sum256(out); hex.EncodeToString(sum[:]) != tc.digest {
+			t.Errorf("Task(%s) = %s: digest %x, want %s", tc.spec.Params, out, sum, tc.digest)
+		}
 	}
 }
 

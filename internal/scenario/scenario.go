@@ -270,14 +270,8 @@ func (c *ClusterParams) normalize() error {
 	if c.Nodes == 0 {
 		c.Nodes = 64
 	}
-	if c.Nodes < 1 || c.Nodes > 4096 {
-		return badf("cluster.nodes %d out of range [1, 4096]", c.Nodes)
-	}
 	if c.JobMB == 0 {
 		c.JobMB = 8
-	}
-	if c.JobMB < 0 || c.JobMB > 1024 || !isFinite(c.JobMB) {
-		return badf("cluster.jobMB %g out of range [0, 1024]", c.JobMB)
 	}
 	if c.MemoryCheck == nil {
 		t := true
@@ -286,17 +280,30 @@ func (c *ClusterParams) normalize() error {
 	if c.PauseTime == 0 {
 		c.PauseTime = 30
 	}
-	if c.PauseTime < 0 || c.PauseTime > 1e4 || !isFinite(c.PauseTime) {
-		return badf("cluster.pauseTime %g out of range [0, 1e4]", c.PauseTime)
-	}
 	if c.ContextSwitch == 0 {
 		c.ContextSwitch = node.DefaultContextSwitch
 	}
-	if c.ContextSwitch < 0 || c.ContextSwitch > 0.1 || !isFinite(c.ContextSwitch) {
-		return badf("cluster.contextSwitch %g out of range [0, 0.1] seconds", c.ContextSwitch)
-	}
 	if c.MaxTime == 0 {
 		c.MaxTime = 200000
+	}
+	return c.check()
+}
+
+// check applies the range bounds of normalized cluster params. Normalize
+// runs it after filling the defaults, and a point computes only params
+// that pass it, since a work RPC's params never went through Normalize.
+func (c *ClusterParams) check() error {
+	if c.Nodes < 1 || c.Nodes > 4096 {
+		return badf("cluster.nodes %d out of range [1, 4096]", c.Nodes)
+	}
+	if c.JobMB < 0 || c.JobMB > 1024 || !isFinite(c.JobMB) {
+		return badf("cluster.jobMB %g out of range [0, 1024]", c.JobMB)
+	}
+	if c.PauseTime < 0 || c.PauseTime > 1e4 || !isFinite(c.PauseTime) {
+		return badf("cluster.pauseTime %g out of range [0, 1e4]", c.PauseTime)
+	}
+	if c.ContextSwitch < 0 || c.ContextSwitch > 0.1 || !isFinite(c.ContextSwitch) {
+		return badf("cluster.contextSwitch %g out of range [0, 0.1] seconds", c.ContextSwitch)
 	}
 	if c.MaxTime <= 0 || c.MaxTime > 1e7 || !isFinite(c.MaxTime) {
 		return badf("cluster.maxTime %g out of range (0, 1e7]", c.MaxTime)
@@ -308,11 +315,17 @@ func (t *TraceParams) normalize() error {
 	if t.Machines == 0 {
 		t.Machines = 16
 	}
-	if t.Machines < 1 || t.Machines > 256 {
-		return badf("trace.machines %d out of range [1, 256]", t.Machines)
-	}
 	if t.Days == 0 {
 		t.Days = 7
+	}
+	return t.check()
+}
+
+// check applies the range bounds of normalized trace params; see
+// ClusterParams.check.
+func (t *TraceParams) check() error {
+	if t.Machines < 1 || t.Machines > 256 {
+		return badf("trace.machines %d out of range [1, 256]", t.Machines)
 	}
 	if t.Days < 1 || t.Days > 31 {
 		return badf("trace.days %d out of range [1, 31]", t.Days)
@@ -328,8 +341,8 @@ func (n *NodeParams) normalize() error {
 		return badf("node.cs lists %d values (max 16)", len(n.ContextSwitches))
 	}
 	for _, cs := range n.ContextSwitches {
-		if cs <= 0 || cs > 0.1 || !isFinite(cs) {
-			return badf("node.cs value %g out of range (0, 0.1] seconds", cs)
+		if err := checkCS(cs); err != nil {
+			return err
 		}
 	}
 	if len(n.Utilizations) == 0 {
@@ -341,15 +354,35 @@ func (n *NodeParams) normalize() error {
 		return badf("node.utils lists %d values (max 64)", len(n.Utilizations))
 	}
 	for _, u := range n.Utilizations {
-		if u < 0 || u > 0.99 || !isFinite(u) {
-			return badf("node.utils value %g out of range [0, 0.99]", u)
+		if err := checkUtil(u); err != nil {
+			return err
 		}
 	}
 	if n.Duration == 0 {
 		n.Duration = 2000
 	}
-	if n.Duration <= 0 || n.Duration > 1e6 || !isFinite(n.Duration) {
-		return badf("node.dur %g out of range (0, 1e6] seconds", n.Duration)
+	return checkDuration(n.Duration)
+}
+
+// The range bounds of one node cell, shared by NodeParams.normalize and
+// NodeCell.check.
+func checkCS(cs float64) error {
+	if cs <= 0 || cs > 0.1 || !isFinite(cs) {
+		return badf("node.cs value %g out of range (0, 0.1] seconds", cs)
+	}
+	return nil
+}
+
+func checkUtil(u float64) error {
+	if u < 0 || u > 0.99 || !isFinite(u) {
+		return badf("node.utils value %g out of range [0, 0.99]", u)
+	}
+	return nil
+}
+
+func checkDuration(d float64) error {
+	if d <= 0 || d > 1e6 || !isFinite(d) {
+		return badf("node.dur %g out of range (0, 1e6] seconds", d)
 	}
 	return nil
 }

@@ -16,10 +16,10 @@ import "math/rand"
 // with Split.
 //
 // Its stream is exactly that of rand.New(rand.NewSource(seed)). The uniform
-// draws (Float64, Bool, Int63 and Split) call a concrete copy of math/rand's
-// source directly, skipping the rand.Source interface; the remaining
-// methods go through a rand.Rand over that same source, so both paths
-// advance one shared state.
+// draws (Float64, Bool, Int63 and Split) and ExpFloat64 call a concrete
+// copy of math/rand's source directly, skipping the rand.Source interface;
+// the remaining methods go through a rand.Rand over that same source, so
+// both paths advance one shared state.
 type RNG struct {
 	src rngSource
 	r   *rand.Rand // wraps &src
@@ -68,9 +68,6 @@ func (r *RNG) Intn(n int) int { return r.r.Intn(n) }
 // Int63 returns a non-negative uniform 63-bit integer.
 func (r *RNG) Int63() int64 { return r.src.Int63() }
 
-// ExpFloat64 returns an exponential variate with mean 1.
-func (r *RNG) ExpFloat64() float64 { return r.r.ExpFloat64() }
-
 // NormFloat64 returns a standard normal variate.
 func (r *RNG) NormFloat64() float64 { return r.r.NormFloat64() }
 
@@ -79,3 +76,52 @@ func (r *RNG) Perm(n int) []int { return r.r.Perm(n) }
 
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
+
+// Cursor is a position in an RNG's uniform stream held by value, for loops
+// that draw many uniforms in a row: advancing a Cursor keeps the source's
+// two indices in locals instead of storing and reloading them through the
+// RNG on every draw. Take one with RNG.Cursor, draw with Float64, and hand
+// it back with RNG.SetCursor before the RNG itself draws again. The
+// values are exactly the RNG's own Float64 stream.
+//
+// A Cursor is a plain value on purpose: a pointer to one would put the
+// indices back in memory, which is the cost it exists to remove.
+type Cursor struct {
+	vec       *[rngLen]int64
+	tap, feed int
+}
+
+// Cursor returns r's current stream position. r must not draw until the
+// position is handed back with SetCursor.
+func (r *RNG) Cursor() Cursor {
+	return Cursor{vec: &r.src.vec, tap: r.src.tap, feed: r.src.feed}
+}
+
+// SetCursor moves r to position c, which must have come from r.Cursor.
+// It panics on a cursor of another RNG.
+func (r *RNG) SetCursor(c Cursor) {
+	if c.vec != &r.src.vec {
+		panic("stats: SetCursor with another RNG's cursor")
+	}
+	r.src.tap, r.src.feed = c.tap, c.feed
+}
+
+// Float64 returns the next uniform variate in [0, 1) and the cursor after
+// it: RNG.Float64, step for step.
+func (c Cursor) Float64() (float64, Cursor) {
+	for {
+		c.tap--
+		if c.tap < 0 {
+			c.tap += rngLen
+		}
+		c.feed--
+		if c.feed < 0 {
+			c.feed += rngLen
+		}
+		x := c.vec[c.feed] + c.vec[c.tap]
+		c.vec[c.feed] = x
+		if f := float64(x&rngMask) / (1 << 63); f != 1 {
+			return f, c
+		}
+	}
+}

@@ -85,6 +85,68 @@ func TestRNGCloneContinuesStream(t *testing.T) {
 	}
 }
 
+// TestCursorMatchesRNG checks that uniforms drawn through a Cursor are
+// the RNG's own stream: runs of cursor draws interleaved with RNG method
+// calls (the fast path and the rand.Rand path) must reproduce math/rand
+// value for value, through Clones and Splits taken between runs. A clone
+// taken while a cursor is out must also carry on from where the RNG was
+// when the cursor was taken.
+func TestCursorMatchesRNG(t *testing.T) {
+	for _, seed := range []int64{1, -5, 1 << 40} {
+		got, want := NewRNG(seed), rand.New(rand.NewSource(seed))
+		for i := 0; i < 1<<12; i++ {
+			cur := got.Cursor()
+			for k := 0; k < i%9; k++ {
+				var f float64
+				if f, cur = cur.Float64(); f != want.Float64() {
+					t.Fatalf("seed %d round %d: cursor draw %d differs", seed, i, k)
+				}
+			}
+			got.SetCursor(cur)
+			if g, w := got.ExpFloat64(), want.ExpFloat64(); g != w {
+				t.Fatalf("seed %d round %d: ExpFloat64 = %v, want %v", seed, i, g, w)
+			}
+			if g, w := got.Intn(97), want.Intn(97); g != w {
+				t.Fatalf("seed %d round %d: Intn = %d, want %d", seed, i, g, w)
+			}
+			if g, w := got.Bool(0.4), want.Float64() < 0.4; g != w {
+				t.Fatalf("seed %d round %d: Bool = %v, want %v", seed, i, g, w)
+			}
+			switch i % 100 {
+			case 33:
+				got = got.Clone()
+			case 66:
+				got, want = got.Split(), refSplit(want)
+			}
+		}
+
+		// A clone taken with a cursor out starts where the cursor did.
+		orig := NewRNG(seed)
+		orig.Float64()
+		cur := orig.Cursor()
+		clone := orig.Clone()
+		for k := 0; k < 100; k++ {
+			var f float64
+			if f, cur = cur.Float64(); f != clone.Float64() {
+				t.Fatalf("seed %d: cursor draw %d differs from a clone taken with it out", seed, k)
+			}
+		}
+	}
+}
+
+// TestSetCursorRejectsForeignCursor checks that a cursor cannot move an
+// RNG it was not taken from, including the RNG's own clone.
+func TestSetCursorRejectsForeignCursor(t *testing.T) {
+	r := NewRNG(3)
+	c := r.Cursor()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetCursor accepted a clone's cursor")
+		}
+	}()
+	r.Clone().SetCursor(c)
+}
+
 var sinkFloat64 float64
 
 func BenchmarkRNGFloat64(b *testing.B) {

@@ -184,7 +184,7 @@ func newChain(cfg *Config, rng *stats.RNG) *chain {
 		c.state = stTyping
 	}
 	c.stateLeft = sampleEpisode(rng, cfg, c.state)
-	c.baseWS = uniform(rng, cfg.BaseWSPresent)
+	c.baseWS = uniform(rng.Float64(), cfg.BaseWSPresent)
 	return c
 }
 
@@ -199,6 +199,12 @@ func (c *chain) clone() *chain {
 // blk[0:n]; a nil blk steps through them storing nothing. Both draw the
 // same variates, so skipping a block and filling it leave the chain in
 // the same state.
+//
+// The uniform draws go through a stats.Cursor held in a local, so the
+// stream position stays in registers across the loop; it is handed back
+// to the RNG before the rare draws made through the RNG itself (episode
+// lengths and transitions, cron spike lengths) and at the end. The draws
+// and their order are those of calling c.rng directly.
 func (c *chain) run(cfg *Config, blk *block, n int) {
 	// Presence chain: leave probability fixed by mean session length;
 	// arrival probability solves the target stationary occupancy.
@@ -206,10 +212,12 @@ func (c *chain) run(cfg *Config, blk *block, n int) {
 
 	// The state lives in locals for the loop and goes back at the end.
 	rng := c.rng
+	cur := rng.Cursor()
 	present, state, stateLeft, cronLeft := c.present, c.state, c.stateLeft, c.cronLeft
 	baseWS, computeWS := c.baseWS, c.computeWS
 	target, targetUntil, lastActive := c.target, c.targetUntil, c.lastActive
 
+	var u float64 // the latest uniform draw
 	for j := 0; j < n; j++ {
 		now := float64(c.i+j) * SampleInterval
 		if now >= targetUntil {
@@ -219,7 +227,7 @@ func (c *chain) run(cfg *Config, blk *block, n int) {
 
 		// Presence transitions.
 		if present {
-			if rng.Float64() < pLeave {
+			if u, cur = cur.Float64(); u < pLeave {
 				present = false
 				state = stAbsent
 				stateLeft = 0
@@ -231,10 +239,12 @@ func (c *chain) run(cfg *Config, blk *block, n int) {
 			} else {
 				pArrive = 1
 			}
-			if rng.Float64() < pArrive {
+			if u, cur = cur.Float64(); u < pArrive {
 				present = true
 				state = stTyping
+				rng.SetCursor(cur)
 				stateLeft = sampleEpisode(rng, cfg, state)
+				cur = rng.Cursor()
 			}
 		}
 
@@ -242,16 +252,22 @@ func (c *chain) run(cfg *Config, blk *block, n int) {
 		if present {
 			stateLeft -= SampleInterval
 			if stateLeft <= 0 {
+				rng.SetCursor(cur)
 				state = nextEpisode(rng, cfg, state)
 				stateLeft = sampleEpisode(rng, cfg, state)
+				cur = rng.Cursor()
 			}
 		}
 
 		// Cron spikes while the CPU is otherwise quiet.
 		if cronLeft > 0 {
 			cronLeft -= SampleInterval
-		} else if (state == stAbsent || state == stPause) && rng.Bool(cfg.CronProb) {
-			cronLeft = rng.ExpFloat64() * cfg.MeanCronSec
+		} else if state == stAbsent || state == stPause {
+			if u, cur = cur.Float64(); u < cfg.CronProb {
+				rng.SetCursor(cur)
+				cronLeft = rng.ExpFloat64() * cfg.MeanCronSec
+				cur = rng.Cursor()
+			}
 		}
 
 		// CPU and keyboard for this sample.
@@ -259,19 +275,25 @@ func (c *chain) run(cfg *Config, blk *block, n int) {
 		var kb bool
 		switch state {
 		case stAbsent:
-			cpu = uniform(rng, cfg.CPUAbsent)
+			u, cur = cur.Float64()
+			cpu = uniform(u, cfg.CPUAbsent)
 		case stTyping:
-			cpu = uniform(rng, cfg.CPUTyping)
-			kb = rng.Bool(0.8)
+			u, cur = cur.Float64()
+			cpu = uniform(u, cfg.CPUTyping)
+			u, cur = cur.Float64()
+			kb = u < 0.8
 		case stPause:
-			cpu = uniform(rng, cfg.CPUPause)
+			u, cur = cur.Float64()
+			cpu = uniform(u, cfg.CPUPause)
 		case stCompute:
-			cpu = uniform(rng, cfg.CPUCompute)
-			kb = rng.Bool(0.1)
+			u, cur = cur.Float64()
+			cpu = uniform(u, cfg.CPUCompute)
+			u, cur = cur.Float64()
+			kb = u < 0.1
 		}
 		if cronLeft > 0 {
-			cron := uniform(rng, cfg.CPUCron)
-			if cron > cpu {
+			u, cur = cur.Float64()
+			if cron := uniform(u, cfg.CPUCron); cron > cpu {
 				cpu = cron
 			}
 		}
@@ -279,7 +301,8 @@ func (c *chain) run(cfg *Config, blk *block, n int) {
 		idle := idleStep(&lastActive, now, cpu, kb)
 
 		// Working set dynamics.
-		baseWS += (rng.Float64()*2 - 1) * cfg.WSDriftMB
+		u, cur = cur.Float64()
+		baseWS += (u*2 - 1) * cfg.WSDriftMB
 		lo, hi := cfg.BaseWSAbsent[0], cfg.BaseWSPresent[1]
 		if present {
 			lo = cfg.BaseWSPresent[0]
@@ -289,7 +312,8 @@ func (c *chain) run(cfg *Config, blk *block, n int) {
 		baseWS = clamp(baseWS, lo, hi)
 		if state == stCompute {
 			if computeWS == 0 {
-				computeWS = uniform(rng, cfg.ComputeWSMB)
+				u, cur = cur.Float64()
+				computeWS = uniform(u, cfg.ComputeWSMB)
 			}
 		} else {
 			computeWS = 0
@@ -304,6 +328,7 @@ func (c *chain) run(cfg *Config, blk *block, n int) {
 		}
 	}
 
+	rng.SetCursor(cur)
 	c.i += n
 	c.present, c.state, c.stateLeft, c.cronLeft = present, state, stateLeft, cronLeft
 	c.baseWS, c.computeWS = baseWS, computeWS
@@ -424,8 +449,9 @@ func nextEpisode(rng *stats.RNG, cfg *Config, s ownerState) ownerState {
 	}
 }
 
-func uniform(rng *stats.RNG, r [2]float64) float64 {
-	return r[0] + rng.Float64()*(r[1]-r[0])
+// uniform maps a uniform draw u in [0, 1) onto [r[0], r[1]).
+func uniform(u float64, r [2]float64) float64 {
+	return r[0] + u*(r[1]-r[0])
 }
 
 func clamp(x, lo, hi float64) float64 {

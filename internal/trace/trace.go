@@ -171,9 +171,12 @@ func (t *Trace) index(at float64) int {
 	if n == 0 {
 		return -1
 	}
-	i := int(math.Floor(at/t.interval)) % n
-	if i < 0 {
-		i += n
+	i := int(math.Floor(at / t.interval))
+	if uint(i) >= uint(n) { // outside [0, n): wrap, which needs a division
+		i %= n
+		if i < 0 {
+			i += n
+		}
 	}
 	return i
 }
@@ -335,6 +338,14 @@ func (v *View) UtilizationAt(t float64) float64 {
 func (v *View) SampleAt(t float64) Sample {
 	blk, j := v.sample(t)
 	return Sample{CPU: blk.cpu[j], FreeMB: blk.free[j], Keyboard: blk.kb[j]}
+}
+
+// Window returns the CPU utilization, free memory and idle state at view
+// time t: UtilizationAt, SampleAt(t).FreeMB and IdleAt in one lookup, for
+// the cluster simulator's per-window snapshot of every node.
+func (v *View) Window(t float64) (cpu, free float64, idle bool) {
+	blk, j := v.sample(t)
+	return blk.cpu[j], blk.free[j], blk.idle[j]
 }
 
 // IdleAt reports the recruitment-threshold idle state at view time t.

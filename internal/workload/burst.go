@@ -1,6 +1,10 @@
 package workload
 
-import "lingerlonger/internal/stats"
+import (
+	"math"
+
+	"lingerlonger/internal/stats"
+)
 
 // sampler draws one burst-duration family without going through the
 // stats.Distribution interface: the node burst loop samples millions of
@@ -147,7 +151,8 @@ type Windowed struct {
 
 	now       float64 // generator cursor: end of the latest drawn burst
 	windowEnd float64
-	gen       Generator // by value: replaced every window roll
+	gen       Generator // by value: refitted when a window roll changes level
+	level     float64   // the raw source value gen was fitted for
 	runNext   bool
 
 	// Lookahead state (SetLookahead). The buffer holds bursts already
@@ -172,6 +177,7 @@ func NewWindowed(table *Table, source UtilizationSource, windowSize float64, rng
 		source:     source,
 		windowSize: windowSize,
 		rng:        rng,
+		level:      math.NaN(), // matches no level, so the first roll fits
 		runNext:    true,
 	}
 	w.roll()
@@ -200,11 +206,20 @@ func (w *Windowed) SetLookahead(n int) {
 	w.buf = make([]Burst, 0, n)
 }
 
-// roll opens the window containing w.now.
+// roll opens the window containing w.now. The generator is a pure
+// function of the table and the level, so it is refitted only when the
+// source's level changed: a constant-utilization source fits once. The
+// raw source value is compared bit for bit, not the clamped
+// Params.Utilization, so a -0 after 0, a NaN and two distinct
+// out-of-range levels all refit.
 func (w *Windowed) roll() {
 	idx := int(w.now / w.windowSize)
 	w.windowEnd = float64(idx+1) * w.windowSize
 	u := w.source.UtilizationAt(w.now)
+	if u == w.level && math.Float64bits(u) == math.Float64bits(w.level) {
+		return
+	}
+	w.level = u
 	w.gen = makeGenerator(w.table, u, w.rng)
 }
 

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
 	"lingerlonger/internal/stats"
@@ -230,4 +231,24 @@ func FuzzLookaheadPrefixIdentity(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestWindowedRollRefitsOnRawLevel checks when a window roll keeps the
+// generator: only when the source returns the same value bit for bit.
+// A -0 after 0 and distinct out-of-range levels must refit, so every
+// window reports the parameters Table.ParamsAt gives its own level.
+func TestWindowedRollRefitsOnRawLevel(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	src := steppedSource{0, negZero, negZero, 0.5, 0.5, 0.25, 1.5, 2, -1, -3, 0.5}
+	table := DefaultTable()
+	w := NewWindowed(table, src, 0, stats.NewRNG(1))
+	for k, u := range src {
+		if k > 0 {
+			w.SeekTo(float64(k) * DefaultWindow)
+		}
+		got, want := w.Utilization(), table.ParamsAt(u).Utilization
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("window %d (level %g): Utilization %g, want %g", k, u, got, want)
+		}
+	}
 }
